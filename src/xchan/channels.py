@@ -19,7 +19,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NotPSDError, NotTracePreservingError
-from .linalg import as_complex, dagger, herm_eig, matrix_rank, partial_trace
+from .linalg import (
+    as_complex,
+    dagger,
+    herm_eig,
+    herm_eigvals,
+    matrix_rank,
+    partial_trace,
+)
 from .states import DensityMatrix
 from .tolerances import TOL_ORTH, TOL_PSD, TOL_RANK, TOL_TP
 
@@ -157,8 +164,7 @@ def choi_output_trace(j: np.ndarray) -> np.ndarray:
 
 def choi_min_eigenvalue(j: np.ndarray) -> float:
     """Smallest eigenvalue of a Choi matrix; >= -TOL_PSD iff the map is CP."""
-    w, _ = herm_eig(j)
-    return float(w.min())
+    return float(herm_eigvals(j)[-1])
 
 
 def kraus_from_choi(j: np.ndarray, tol_rank: float = TOL_RANK) -> KrausChannel:

@@ -41,6 +41,7 @@ from .extremal import (
 from .linalg import dagger
 from .qubit import NuParams, bloch_affine, channel_from_nu, ellipsoid_samples, predicted_translation
 from .serialize import (
+    _is_number,
     channel_from_doc,
     dump_channel,
     dump_state,
@@ -48,7 +49,7 @@ from .serialize import (
     parse_state,
 )
 from .states import random_density
-from .tolerances import TOL_ORTH, TOL_PSD, TOL_TP
+from .tolerances import TOL_ORTH, TOL_PSD, TOL_TP, TOL_UNITARY
 
 
 def main(argv=None) -> int:
@@ -116,7 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jacobian", help="numerical parameter count at a random interior point")
     p.add_argument("--n", type=int, required=True, help="system dimension, >= 2")
     p.add_argument("--seed", type=int, required=True, help="interior-point seed")
-    p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
+    p.add_argument(
+        "--step",
+        type=float,
+        default=None,
+        help="use central differences with this step instead of the exact Jacobian",
+    )
     p.set_defaults(func=_cmd_jacobian)
 
     return parser
@@ -233,7 +239,7 @@ def _cmd_dilate(args) -> int:
     _emit(json.dumps(doc, indent=1), args.out)
     report = sys.stdout if args.out else sys.stderr
     override = _tol_override()
-    tol = override if override is not None else 1e-10
+    tol = override if override is not None else TOL_UNITARY
     print(f"unitarity residual: {unitarity:.3e}", file=report)
     print(f"roundtrip residual: {roundtrip:.3e}", file=report)
     ok = unitarity <= tol and roundtrip <= tol
@@ -257,9 +263,7 @@ def _params_from_doc(doc) -> ExtremalParams:
         raise SchemaError("diagonals", "expected a non-empty list of rows")
     n = None
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
-        ):
+        if not isinstance(row, list) or not all(_is_number(x) for x in row):
             raise SchemaError(f"diagonals[{i}]", "expected a list of numbers")
         if n is None:
             n = len(row)

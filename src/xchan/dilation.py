@@ -7,9 +7,9 @@ acting on sys (x) |0> is the isometry V = sum_i C_i (x) |i><0|, and
 
     B(rho) = Tr_env[u (rho (x) |0><0|) u^dag].
 
-The remaining columns of u are free; they are filled by orthonormal
-completion with a deterministic pivot (largest-remaining-norm standard
-basis vector first), so the same channel always yields the same u.
+The remaining columns of u are free; they are filled with an orthonormal
+basis of the complement of V's range, taken from one complete QR
+factorization of V, so the same channel always yields the same u.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import KrausChannel, check_trace_preserving
 from .errors import NotTracePreservingError, ValidationError
-from .linalg import as_complex, dagger, kron, partial_trace
+from .linalg import as_complex, dagger
 from .states import DensityMatrix
 from .tolerances import TOL_UNITARY
 
@@ -61,8 +61,9 @@ def stinespring(ch: KrausChannel) -> DilationModel:
 
     The environment dimension equals the operator count k.  Column c*k of u
     (the image of basis state |c> (x) |0>) is column c of the isometry
-    sum_i C_i (x) |i>; the other columns come from the deterministic
-    orthonormal completion.
+    V = sum_i C_i (x) |i>, written exactly.  The other N(k-1) columns are
+    the last N(k-1) columns of the complete QR factor of V, which span the
+    orthogonal complement of V's range.
 
     Raises
     ------
@@ -76,33 +77,25 @@ def stinespring(ch: KrausChannel) -> DilationModel:
         )
     n = ch.dim
     k = len(ch)
-    basis_env = np.eye(k, dtype=complex)
-    isometry = sum(
-        kron(c, basis_env[:, [i]]) for i, c in enumerate(ch.kraus)
-    )
     total = n * k
-    u = np.zeros((total, total), dtype=complex)
-    fixed = [c * k for c in range(n)]
-    u[:, fixed] = isometry
-    ortho = isometry.copy()
-    free = [j for j in range(total) if j not in set(fixed)]
-    for j in free:
-        # Residual norm of basis vector e_t is 1 - the t-th row norm of the
-        # orthonormal stack; pick the largest, ties to the lowest index.
-        leftover = 1.0 - np.sum(np.abs(ortho) ** 2, axis=1)
-        pick = int(np.argmax(leftover))
-        col = -ortho @ np.conj(ortho[pick, :])
-        col[pick] += 1.0
-        # Re-orthogonalize once; single-pass Gram-Schmidt drifts.
-        col = col - ortho @ (dagger(ortho) @ col)
-        col = col / np.linalg.norm(col)
-        u[:, j] = col
-        ortho = np.column_stack([ortho, col])
+    # Row r*k + i, column c of V is C_i[r, c].
+    isometry = np.stack(ch.kraus, axis=1).reshape(total, n)
+    q = np.linalg.qr(isometry, mode="complete")[0]
+    u = np.empty((total, total), dtype=complex)
+    # Column c*k + e of u is slot [:, c, e] of this view.
+    slots = u.reshape(total, n, k)
+    slots[:, :, 0] = isometry
+    slots[:, :, 1:] = q[:, n:].reshape(total, n, k - 1)
     return DilationModel(dim_sys=n, dim_env=k, u=u)
 
 
 def evolve_via_dilation(model: DilationModel, rho: DensityMatrix) -> DensityMatrix:
     """Apply Tr_env[u (rho (x) |e><e|) u^dag] for the model's pure env state.
+
+    With the environment in |e>, u (rho (x) |e><e|) u^dag equals
+    V_e rho V_e^dag for the block V_e = u[:, e::k] of the columns that
+    carry |e>, so only that block enters.  Tracing out the environment
+    sums the k blocks B_i = V_e[i::k, :]: the result is sum_i B_i rho B_i^dag.
 
     Raises
     ------
@@ -113,10 +106,9 @@ def evolve_via_dilation(model: DilationModel, rho: DensityMatrix) -> DensityMatr
         raise ValueError(
             f"state dim {rho.dim} does not match system dim {model.dim_sys}"
         )
-    env = np.zeros((model.dim_env, model.dim_env), dtype=complex)
-    env[model.env_state, model.env_state] = 1.0
-    total = model.u @ kron(rho.mat, env) @ dagger(model.u)
-    out = partial_trace(total, model.dim_sys, model.dim_env, over="env")
+    n, k = model.dim_sys, model.dim_env
+    blocks = model.u[:, model.env_state :: k].reshape(n, k, n).transpose(1, 0, 2)
+    out = (blocks @ rho.mat @ blocks.conj().transpose(0, 2, 1)).sum(axis=0)
     out = 0.5 * (out + dagger(out))
     return DensityMatrix(out)
 

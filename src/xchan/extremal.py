@@ -25,11 +25,13 @@ from .errors import ColumnOverflowError, SingularComplementError, ValidationErro
 from .linalg import ID2, SX, as_complex, dagger, herm_eig
 from .tolerances import TOL_PSD, TOL_TP
 
-# Entries must stay this far from {0, 1} for finite differencing.
+# Entries must stay this far from {0, 1} for the Jacobian: the chain factor
+# 1/(2 d) grows near 0, and differences turn one-sided near either end.
 INTERIOR_MARGIN = 1e-3
 
-# Relative singular-value cutoff for the finite-difference Jacobian.  Central
-# differences at step 1e-5 leave noise around 1e-9 of scale, far below this.
+# Relative singular-value cutoff for the Jacobian rank.  The exact Jacobian
+# is accurate to round-off; central differences at step 1e-5 leave noise
+# around 1e-9 of scale.  Both sit far below this.
 JACOBIAN_RANK_TOL = 1e-6
 
 
@@ -177,42 +179,37 @@ def sample_interior(n: int, seed: int) -> ExtremalParams:
 
 def parameter_jacobian_rank(
     params: ExtremalParams,
-    step: float = 1e-5,
+    step: float | None = None,
     rank_tol: float = JACOBIAN_RANK_TOL,
 ) -> int:
     """Numerical rank of the parameters-to-Choi Jacobian.
 
-    The free parameters are the squared entries of the first N-1 diagonals
-    (the last is completed); the map lands in the real embedding of the Choi
-    matrix.  Central differences with the given step.  At generic interior
-    points the rank equals N^2 - N, the family's parameter count.
+    The free parameters are the squared entries s_{i,m} = d_{i,m}^2 of the
+    first N-1 diagonals (the last is completed); the map lands in the real
+    embedding of the Choi matrix.  At generic interior points the rank
+    equals N^2 - N, the family's parameter count.
+
+    ``step=None`` (the default) uses the exact Jacobian in closed form (see
+    ``_exact_jacobian``).  A float ``step`` takes central differences of
+    the Choi matrix with that step instead, an independent check on the
+    closed form; both give the same rank at interior points.
 
     Raises
     ------
     ValidationError
-        If some entry is within INTERIOR_MARGIN of 0 or 1, where one-sided
-        effects would corrupt the differences.
+        If some entry is within INTERIOR_MARGIN of 0 or 1, where the chain
+        factor 1/(2 d) blows up and one-sided effects would corrupt the
+        differences.
     """
     d = params.diagonals
     n = params.n
     if np.any(d <= INTERIOR_MARGIN) or np.any(d >= 1.0 - INTERIOR_MARGIN):
-        raise ValidationError(
-            "parameters must be strictly interior for finite differencing"
-        )
+        raise ValidationError("parameters must be strictly interior")
     unitaries = canonical_unitaries(n)
-    free = (d**2)[:-1]
-    cols = []
-    for i in range(n - 1):
-        for m in range(n):
-            plus = free.copy()
-            minus = free.copy()
-            plus[i, m] += step
-            minus[i, m] -= step
-            delta = _choi_embedding(plus, unitaries) - _choi_embedding(
-                minus, unitaries
-            )
-            cols.append(delta / (2.0 * step))
-    jac = np.column_stack(cols)
+    if step is None:
+        jac = _exact_jacobian(d, unitaries)
+    else:
+        jac = _difference_jacobian(d, unitaries, step)
     s = np.linalg.svd(jac, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -264,6 +261,50 @@ def _dirichlet_diagonals(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     e = rng.standard_exponential((n, n))
     return np.sqrt(e / e.sum(axis=0))
+
+
+def _exact_jacobian(d: np.ndarray, unitaries) -> np.ndarray:
+    # With w_i = vec(C_i) (column-major) and a_{i,m} = e_m (x) U_i[:, m],
+    # w_i = sum_m d_{i,m} a_{i,m}, so J = sum_i w_i w_i^dag has
+    # dJ/dd_{i,m} = a_{i,m} w_i^dag + w_i a_{i,m}^dag.  Since
+    # d_{i,m} = sqrt(s_{i,m}) and the completed row has
+    # d_{N,m} = sqrt(1 - sum_{i<N} s_{i,m}),
+    # dJ/ds_{i,m} = dJ/dd_{i,m} / (2 d_{i,m}) - dJ/dd_{N,m} / (2 d_{N,m}).
+    # Entries outside the support of J (no w_i nonzero at both indices) have
+    # zero derivative; those all-zero rows do not change the singular
+    # values, so only the at most N^3 support entries are built.
+    n = d.shape[0]
+    # cols[i, m*n + r] = U_i[r, m]: a_{i,m} is the m-th length-n block.
+    cols = np.asarray(unitaries).transpose(0, 2, 1).reshape(n, n * n)
+    w = cols * np.repeat(d, n, axis=1)
+    mag = np.abs(w)
+    p, q = np.nonzero(mag.T @ mag)
+    rows = np.arange(p.size)[:, None]
+    ops = np.arange(n)[None, :]
+    grad = np.zeros((p.size, n, n), dtype=complex)
+    # a_{i,m}[p] is nonzero only for m = p // n.
+    grad[rows, ops, (p // n)[:, None]] += (cols[:, p] * w[:, q].conj()).T
+    grad[rows, ops, (q // n)[:, None]] += (w[:, p] * cols[:, q].conj()).T
+    grad /= 2.0 * d
+    jac = (grad[:, :-1, :] - grad[:, -1:, :]).reshape(p.size, -1)
+    return np.concatenate([jac.real, jac.imag])
+
+
+def _difference_jacobian(d: np.ndarray, unitaries, step: float) -> np.ndarray:
+    n = d.shape[0]
+    free = (d**2)[:-1]
+    cols = []
+    for i in range(n - 1):
+        for m in range(n):
+            plus = free.copy()
+            minus = free.copy()
+            plus[i, m] += step
+            minus[i, m] -= step
+            delta = _choi_embedding(plus, unitaries) - _choi_embedding(
+                minus, unitaries
+            )
+            cols.append(delta / (2.0 * step))
+    return np.column_stack(cols)
 
 
 def _choi_embedding(free_squares: np.ndarray, unitaries) -> np.ndarray:

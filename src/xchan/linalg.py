@@ -94,14 +94,19 @@ def herm_eig(h: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarr
     NotHermitianError
         If the input deviates from Hermiticity by more than ``tol``.
     """
-    h = as_complex(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    res = herm_residual(h)
-    if res > tol:
-        raise NotHermitianError("matrix is not Hermitian", residual=res)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_checked_hermitian(h, tol))
     return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def herm_eigvals(h: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, descending, without eigenvectors.
+
+    Raises
+    ------
+    NotHermitianError
+        If the input deviates from Hermiticity by more than ``tol``.
+    """
+    return np.linalg.eigvalsh(_checked_hermitian(h, tol))[::-1].copy()
 
 
 def psd_sqrt(p: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
@@ -146,3 +151,13 @@ def matrix_rank(mats: Sequence[np.ndarray], tol_rank: float = TOL_RANK) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol_rank * s[0]))
+
+
+def _checked_hermitian(h, tol: float) -> np.ndarray:
+    h = as_complex(h)
+    if h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    res = herm_residual(h)
+    if res > tol:
+        raise NotHermitianError("matrix is not Hermitian", residual=res)
+    return h

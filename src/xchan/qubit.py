@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import KrausChannel, apply_to_matrix
 from .errors import ValidationError
-from .extremal import build_extremal, complete_last_diagonal
+from .extremal import ExtremalParams, build_extremal
 from .linalg import ID2, PAULIS, SX, SY
 from .states import DensityMatrix, bloch_to_rho, rho_to_bloch
 
@@ -95,7 +95,8 @@ def nu_to_diagonals(p: NuParams) -> tuple[float, float]:
     """
     nu3 = p.nu3
     mu0 = 0.5 * np.sqrt(1.0 + p.nu1 + p.nu2 + nu3)
-    mu3 = 0.5 * np.sqrt(max(1.0 + nu3 - p.nu1 - p.nu2, 0.0))
+    # 1 + nu3 - nu1 - nu2 in factored form, which does not cancel.
+    mu3 = 0.5 * np.sqrt((1.0 - p.nu1) * (1.0 - p.nu2))
     a = min(mu0 + mu3, 1.0)
     b = mu0 - mu3
     return float(a), float(b)
@@ -104,7 +105,15 @@ def nu_to_diagonals(p: NuParams) -> tuple[float, float]:
 def channel_from_nu(p: NuParams) -> KrausChannel:
     """Extremal qubit channel with Bloch multipliers (nu1, nu2, nu1*nu2)."""
     a, b = nu_to_diagonals(p)
-    params = complete_last_diagonal(np.array([[a, b]]))
+    # sqrt(1 - a^2) cancels catastrophically as a -> 1 (nu1 -> nu2).  With
+    # root = sqrt((1 - nu1^2)(1 - nu2^2)) and s = (1 - nu3) + root, the
+    # identities a^2 + b^2 = 1 + nu3 and 2ab = nu1 + nu2 give
+    # 1 - b^2 = s / 2 and 1 - a^2 = (nu1 - nu2)^2 / (2 s), sums of
+    # non-negative terms.  s is 0 only at nu1 = nu2 = 1, where both are 0.
+    root = np.sqrt((1.0 - p.nu1**2) * (1.0 - p.nu2**2))
+    last_b = np.sqrt(0.5 * ((1.0 - p.nu3) + root))
+    last_a = abs(p.nu1 - p.nu2) / (2.0 * last_b) if last_b else 0.0
+    params = ExtremalParams(np.array([[a, b], [last_a, last_b]]))
     u2 = SX if p.nu1 >= p.nu2 else SY
     return build_extremal(params, unitaries=[ID2.copy(), u2])
 
@@ -133,12 +142,12 @@ def bloch_affine(ch: KrausChannel) -> BlochAffine:
 def predicted_translation(p: NuParams) -> float:
     """Center displacement t3 of the image ellipsoid along z.
 
-    t3 = sqrt((1 - nu3)^2 - (nu1 - nu2)^2) with nu3 = nu1*nu2; the radicand
-    factors as (1 - nu1^2)(1 - nu2^2) and is non-negative on the domain.
+    t3 = sqrt((1 - nu3)^2 - (nu1 - nu2)^2) with nu3 = nu1*nu2.  The radicand
+    factors as (1 - nu1^2)(1 - nu2^2), which is non-negative on the domain
+    and is evaluated in that form: the difference of squares cancels as
+    either multiplier approaches 1.
     """
-    nu3 = p.nu3
-    radicand = (1.0 - nu3) ** 2 - (p.nu1 - p.nu2) ** 2
-    return float(np.sqrt(max(radicand, 0.0)))
+    return float(np.sqrt((1.0 - p.nu1**2) * (1.0 - p.nu2**2)))
 
 
 def ellipsoid_samples(

@@ -51,7 +51,7 @@ def matrix_from_doc(doc: Any, field: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(_is_number(x) for x in entry)
             ):
                 raise SchemaError(where, "expected an [re, im] number pair")
             value = complex(float(entry[0]), float(entry[1]))
@@ -141,15 +141,13 @@ def dump_state(rho: DensityMatrix) -> str:
     return json.dumps(state_to_doc(rho), indent=1)
 
 
-def channel_metadata(doc: Any) -> dict:
-    """Metadata block of a parsed channel document, or empty."""
-    if isinstance(doc, dict) and isinstance(doc.get("metadata"), dict):
-        return doc["metadata"]
-    return {}
-
-
 def _read_dim(doc: dict) -> int:
     dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_number(dim) or isinstance(dim, float) or dim < 1:
         raise SchemaError("dim", "expected a positive integer")
     return dim
+
+
+def _is_number(x: Any) -> bool:
+    """JSON number test: int or float, but not bool (a subclass of int)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)

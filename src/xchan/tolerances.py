@@ -5,10 +5,9 @@ several digits of headroom above these thresholds.  Entry tolerances are
 absolute; rank tolerances are relative to the largest singular value.
 """
 
-# Hermiticity / unitarity / reconstruction residuals, absolute on entries.
+# Hermiticity / unitarity residuals, absolute on entries.
 TOL_HERM = 1e-10
 TOL_UNITARY = 1e-10
-TOL_RECON = 1e-10
 
 # Eigenvalues in [-TOL_PSD, 0] are treated as round-off and clamped to zero.
 TOL_PSD = 1e-10

@@ -15,7 +15,7 @@ from xchan.channels import (
     convex_combine,
     kraus_from_choi,
 )
-from xchan.errors import NotPSDError, NotTracePreservingError
+from xchan.errors import NotHermitianError, NotPSDError, NotTracePreservingError
 from xchan.extremal import sample_extremal
 from xchan.linalg import ID2, SX
 from xchan.states import random_density
@@ -146,6 +146,18 @@ def test_choi_diagnostics_for_trace_preserving_channels(n, seed):
     assert choi_min_eigenvalue(j) >= -1e-12
     assert np.allclose(choi_output_trace(j), np.eye(n), atol=1e-12)
     assert np.trace(j).real == pytest.approx(n, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 6), (4, 8), (8, 9)])
+def test_choi_min_eigenvalue_is_the_smallest_eigenvalue(n, seed):
+    _, ch = sample_extremal(n, seed)
+    j = choi(ch)
+    assert choi_min_eigenvalue(j) == np.min(np.linalg.eigvalsh(j))
+
+
+def test_choi_min_eigenvalue_rejects_non_hermitian_input():
+    with pytest.raises(NotHermitianError):
+        choi_min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_kraus_from_choi_round_trips():

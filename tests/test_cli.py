@@ -154,7 +154,9 @@ def test_apply_rejects_invalid_state(tmp_path, channel_file, capsys):
 def test_bloch_report_values(capsys):
     assert main(["bloch", "--nu1", "0.8", "--nu2", "0.5"]) == 0
     out = capsys.readouterr().out
-    assert "t_lin diagonal: 0.8" in out
+    line = next(row for row in out.splitlines() if row.startswith("t_lin diagonal:"))
+    diag = [float(v) for v in line.split(":")[1].split()]
+    assert np.max(np.abs(np.subtract(diag, [0.8, 0.5, 0.4]))) <= 1e-15
     assert "t3 predicted: 0.5196152422706631" in out
 
 
@@ -197,6 +199,31 @@ def test_dilate_report_goes_to_stderr_without_out(channel_file, capsys):
 def test_jacobian_report(capsys):
     assert main(["jacobian", "--n", "3", "--seed", "4"]) == 0
     assert "jacobian_rank=6 expected=6" in capsys.readouterr().out
+
+
+def test_jacobian_step_selects_finite_differences(capsys):
+    assert main(["jacobian", "--n", "3", "--seed", "4", "--step", "1e-5"]) == 0
+    assert "jacobian_rank=6 expected=6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["true", "false"])
+def test_json_booleans_are_usage_errors(tmp_path, channel_file, flag, capsys):
+    ch_path, _ = channel_file
+    docs = {
+        "kraus": f'{{"dim": 1, "kraus": [[[[{flag}, 0.0]]]]}}',
+        "rho": f'{{"dim": 3, "rho": [[[{flag}, 0.0], [0.0, 0.0], [0.0, 0.0]]]}}',
+        "dim": f'{{"dim": {flag}, "kraus": [[[[1.0, 0.0]]]]}}',
+        "diagonals": f'{{"diagonals": [[1.0, {flag}]]}}',
+    }
+    paths = {}
+    for name, text in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    assert main(["check", str(paths["kraus"])]) == 2
+    assert main(["check", str(paths["dim"])]) == 2
+    assert main(["apply", "--channel", str(ch_path), "--state", str(paths["rho"])]) == 2
+    assert main(["build", "--params", str(paths["diagonals"])]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_tolerance_override_relaxes_the_check(tmp_path, monkeypatch, capsys):

@@ -58,6 +58,20 @@ def test_dilation_is_deterministic():
     assert np.array_equal(a.u, b.u)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_qr_completion_keeps_the_isometry_and_is_deterministic(n):
+    _, ch = sample_extremal(n, seed=40 + n)
+    model = stinespring(ch)
+    k = len(ch)
+    total = n * k
+    basis_env = np.eye(k, dtype=complex)
+    isometry = sum(kron(c, basis_env[:, [i]]) for i, c in enumerate(ch.kraus))
+    assert np.array_equal(model.u[:, ::k], isometry)
+    residual = np.max(np.abs(dagger(model.u) @ model.u - np.eye(total)))
+    assert residual <= 1e-10
+    assert model.u.tobytes() == stinespring(ch).u.tobytes()
+
+
 def test_evolution_through_identity_dilation():
     model = stinespring(KrausChannel((ID2,)))
     rho = random_density(2, 0)
@@ -80,6 +94,15 @@ def test_dilation_evolution_matches_operator_sum(n, seed):
     via_u = evolve_via_dilation(model, rho)
     direct = apply(ch, rho)
     assert np.max(np.abs(via_u.mat - direct.mat)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_environment_projector_evolution_matches_apply(n):
+    _, ch = sample_extremal(n, seed=90 + n)
+    model = stinespring(ch)
+    rho = random_density(n, seed=n)
+    via_u = evolve_via_dilation(model, rho)
+    assert np.max(np.abs(via_u.mat - apply(ch, rho).mat)) <= 1e-12
 
 
 def test_kraus_operators_recoverable_from_the_unitary():

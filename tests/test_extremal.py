@@ -17,6 +17,8 @@ from xchan.errors import (
 )
 from xchan.extremal import (
     ExtremalParams,
+    _difference_jacobian,
+    _exact_jacobian,
     build_extremal,
     canonical_unitaries,
     complete_last_diagonal,
@@ -182,6 +184,32 @@ def test_choi_rank_is_the_operator_count(n):
 def test_jacobian_rank_equals_free_parameter_count(n):
     params = sample_interior(n, seed=60 + n)
     assert parameter_jacobian_rank(params) == n * n - n
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_exact_jacobian_rank_matches_finite_differences(n):
+    for seed in range(5):
+        params = sample_interior(n, seed=300 + seed)
+        exact = parameter_jacobian_rank(params)
+        assert exact == parameter_jacobian_rank(params, step=1e-5)
+        assert exact == n * n - n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_exact_jacobian_matches_differences_entrywise(n):
+    params = sample_interior(n, seed=70 + n)
+    d = params.diagonals
+    unitaries = canonical_unitaries(n)
+    exact = _exact_jacobian(d, unitaries)
+    diff = _difference_jacobian(d, unitaries, 1e-5)
+    # Scatter the support rows back into the full real embedding.
+    mag = np.abs(np.asarray(unitaries)).transpose(0, 2, 1).reshape(n, n * n)
+    p, q = np.nonzero(mag.T @ mag)
+    full = np.zeros_like(diff)
+    flat = p * n * n + q
+    full[flat] = exact[: p.size]
+    full[n**4 + flat] = exact[p.size :]
+    assert np.max(np.abs(full - diff)) < 1e-6 * np.max(np.abs(diff))
 
 
 def test_jacobian_rejects_boundary_points():

@@ -13,6 +13,7 @@ from xchan.linalg import (
     as_complex,
     dagger,
     herm_eig,
+    herm_eigvals,
     herm_residual,
     kron,
     matrix_rank,
@@ -121,6 +122,17 @@ def test_herm_eig_descending_and_reconstructs():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_herm_eigvals_match_herm_eig_and_reject_non_hermitian():
+    rng = np.random.default_rng(4)
+    g = random_complex(rng, 5, 5)
+    h = g + dagger(g)
+    w = herm_eigvals(h)
+    assert np.all(np.diff(w) <= 0)
+    assert np.allclose(w, herm_eig(h)[0], atol=1e-12)
+    with pytest.raises(NotHermitianError):
+        herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_psd_sqrt_diagonal_scalar_values():

@@ -139,6 +139,31 @@ def test_translation_is_along_z_and_matches_the_formula():
         )
 
 
+@pytest.mark.parametrize(
+    "nu1,nu2",
+    [
+        # |nu1 - nu2| ~ 5e-7: sqrt(1 - a^2) kept ~3 digits (residual 2.5e-10).
+        (0.391064344083487, 0.3910648383126113),
+        (0.7, 0.7),
+        (0.2, 0.2),
+        (1.0, 1.0),
+        # nu1 = 1 edge: (1 + nu3)^2 - (nu1 + nu2)^2 is a rounding residue.
+        (1.0, 0.3),
+        (0.3, 1.0),
+        (0.9999999, 0.9999998),
+    ],
+)
+def test_geometry_holds_at_degenerate_and_unit_multipliers(nu1, nu2):
+    p = NuParams(nu1, nu2)
+    affine = bloch_affine(channel_from_nu(p))
+    target = np.diag([p.nu1, p.nu2, p.nu3])
+    assert np.max(np.abs(affine.t_lin - target)) <= 1e-14
+    assert abs(abs(affine.t_vec[2]) - predicted_translation(p)) <= 1e-14
+    assert predicted_translation(p) == pytest.approx(
+        math.sqrt((1.0 - nu1**2) * (1.0 - nu2**2)), abs=1e-15
+    )
+
+
 def test_predicted_translation_values():
     assert predicted_translation(NuParams(1.0, 1.0)) == 0.0
     assert predicted_translation(NuParams(0.8, 0.5)) == pytest.approx(

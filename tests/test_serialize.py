@@ -100,6 +100,21 @@ def test_schema_rejects_non_finite_entries():
         parse_channel(text)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_schema_rejects_json_booleans(flag):
+    # bool is an int subclass, so a bare isinstance test would take it as 1/0.
+    text = json.dumps(flag)
+    with pytest.raises(SchemaError) as info:
+        parse_channel(f'{{"dim": 1, "kraus": [[[[{text}, 0.0]]]]}}')
+    assert info.value.field == "kraus[0][0][0]"
+    with pytest.raises(SchemaError) as info:
+        parse_state(f'{{"dim": 1, "rho": [[[1.0, {text}]]]}}')
+    assert info.value.field == "rho[0][0]"
+    with pytest.raises(SchemaError) as info:
+        parse_state(f'{{"dim": {text}, "rho": [[[1.0, 0.0]]]}}')
+    assert info.value.field == "dim"
+
+
 def test_parse_channel_enforces_completeness_by_default():
     doc = {"dim": 2, "kraus": [matrix_to_doc(0.5 * ID2)]}
     with pytest.raises(NotTracePreservingError):
