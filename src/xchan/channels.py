@@ -5,6 +5,14 @@ the completeness condition ``sum_i C_i^dag C_i = I``; a raw ``KrausChannel``
 may hold operator sets that violate it (useful for diagnostics), but
 ``apply`` refuses to run them.
 
+The operators are held as one read-only ``(k, N, N)`` complex array,
+``KrausChannel.stack``, validated once at construction.  Every operation
+here is one or two batched numpy calls on that array: the completeness and
+unitality sums are single matrix products of its ``(k N, N)`` and
+``(N, k N)`` reshapes, trace orthogonality reads the Gram matrix of the
+flattened operators, and the Choi matrix is one product of the column-major
+vec stack.
+
 Choi convention: ``J = sum_{k,l} E_kl (x) B(E_kl)`` with matrix units E_kl,
 unnormalized (trace N), so trace preservation reads "partial trace of J over
 the output factor equals I" with no scale factor.  J is PSD iff the map is
@@ -13,7 +21,7 @@ completely positive, and its rank is the minimal Kraus count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -21,45 +29,54 @@ import numpy as np
 from .errors import NotPSDError, NotTracePreservingError
 from .linalg import (
     as_complex,
-    dagger,
     herm_eig,
     herm_eigvals,
     matrix_rank,
     partial_trace,
 )
 from .states import DensityMatrix
-from .tolerances import TOL_ORTH, TOL_PSD, TOL_RANK, TOL_TP
+from .tolerances import TOL_ORTH, TOL_PSD, TOL_RANK, TOL_TP, TOL_WEIGHT_SUM
 
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Ordered set of same-dimension square Kraus operators."""
+    """Ordered set of same-dimension square Kraus operators.
+
+    Construction copies the operators once into ``stack``, a read-only
+    ``(k, N, N)`` complex128 array, after checking that there is at least
+    one, that all are square of one shape and that every entry is finite.
+    ``kraus`` is the tuple of the k read-only views ``stack[i]``; the input
+    may be any sequence of matrices or a ``(k, N, N)`` array, and later
+    changes to it do not reach the channel.
+    """
 
     kraus: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(as_complex(c) for c in self.kraus)
-        if len(ops) == 0:
+        if len(self.kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        for i, c in enumerate(ops):
-            if c.shape != (dim, dim):
-                raise ValueError(
-                    f"Kraus operator {i} has shape {c.shape}, expected {(dim, dim)}"
-                )
-        frozen = []
-        for c in ops:
-            c = c.copy()
-            c.setflags(write=False)
-            frozen.append(c)
-        object.__setattr__(self, "kraus", tuple(frozen))
+        try:
+            stack = np.array(self.kraus, dtype=complex)
+        except ValueError:
+            shapes = [np.shape(c) for c in self.kraus]
+            raise ValueError(f"Kraus operators differ in shape: {shapes}") from None
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(
+                f"Kraus operators must be square matrices, got stack shape {stack.shape}"
+            )
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("Kraus operators have non-finite entries")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.kraus)
+        return self.stack.shape[0]
 
 
 class CheckResult(NamedTuple):
@@ -75,25 +92,29 @@ class ExtremalityResult(NamedTuple):
 
 def check_trace_preserving(ch: KrausChannel, tol: float = TOL_TP) -> CheckResult:
     """Max-entry residual of sum_i C_i^dag C_i - I, and whether it passes."""
-    acc = sum(dagger(c) @ c for c in ch.kraus)
+    # Rows i*N + r of A hold C_i[r, :], so A^dag A = sum_i C_i^dag C_i.
+    a = ch.stack.reshape(-1, ch.dim)
+    acc = a.conj().T @ a
     residual = float(np.max(np.abs(acc - np.eye(ch.dim))))
     return CheckResult(residual <= tol, residual)
 
 
 def check_unital(ch: KrausChannel, tol: float = TOL_TP) -> CheckResult:
     """Max-entry residual of sum_i C_i C_i^dag - I (identity preservation)."""
-    acc = sum(c @ dagger(c) for c in ch.kraus)
+    # Columns i*N + c of B hold C_i[:, c], so B B^dag = sum_i C_i C_i^dag.
+    b = ch.stack.transpose(1, 0, 2).reshape(ch.dim, -1)
+    acc = b @ b.conj().T
     residual = float(np.max(np.abs(acc - np.eye(ch.dim))))
     return CheckResult(residual <= tol, residual)
 
 
 def check_trace_orthogonal(ch: KrausChannel, tol: float = TOL_ORTH) -> CheckResult:
     """Largest pairwise overlap |Tr[C_i^dag C_j]| over i != j."""
-    worst = 0.0
-    for i, a in enumerate(ch.kraus):
-        for j, b in enumerate(ch.kraus):
-            if i != j:
-                worst = max(worst, abs(complex(np.trace(dagger(a) @ b))))
+    # Gram matrix of the flattened operators: g[i, j] = Tr[C_i^dag C_j].
+    w = ch.stack.reshape(len(ch), -1)
+    g = np.abs(w.conj() @ w.T)
+    np.fill_diagonal(g, 0.0)
+    worst = float(g.max())
     return CheckResult(worst <= tol, worst)
 
 
@@ -113,9 +134,11 @@ def check_extremal(
             "extremality is defined for trace-preserving channels",
             residual=residual,
         )
-    products = [dagger(a) @ b for a in ch.kraus for b in ch.kraus]
-    rank = matrix_rank(products, tol_rank)
-    expected = len(ch.kraus) ** 2
+    stack = ch.stack
+    # products[i*k + j] = C_i^dag C_j.
+    products = stack.conj().transpose(0, 2, 1)[:, None] @ stack[None]
+    rank = matrix_rank(products.reshape(-1, ch.dim, ch.dim), tol_rank)
+    expected = len(ch) ** 2
     return ExtremalityResult(rank == expected, rank, expected)
 
 
@@ -136,7 +159,8 @@ def apply_to_matrix(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
     x = as_complex(x)
     if x.shape != (ch.dim, ch.dim):
         raise ValueError(f"matrix shape {x.shape} != channel dim {ch.dim}")
-    return sum(c @ x @ dagger(c) for c in ch.kraus)
+    stack = ch.stack
+    return (stack @ x @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def choi(ch: KrausChannel) -> np.ndarray:
@@ -145,12 +169,9 @@ def choi(ch: KrausChannel) -> np.ndarray:
     Equals sum_kl E_kl (x) B(E_kl), which for Kraus operators reduces to
     sum_i vec(C_i) vec(C_i)^dag with column-major vectorization.
     """
-    n = ch.dim
-    j = np.zeros((n * n, n * n), dtype=complex)
-    for c in ch.kraus:
-        w = c.flatten(order="F")
-        j += np.outer(w, w.conj())
-    return j
+    # Row i of w is vec(C_i): the rows of C_i^T laid end to end.
+    w = ch.stack.transpose(0, 2, 1).reshape(len(ch), -1)
+    return w.T @ w.conj()
 
 
 def choi_output_trace(j: np.ndarray) -> np.ndarray:
@@ -178,13 +199,12 @@ def kraus_from_choi(j: np.ndarray, tol_rank: float = TOL_RANK) -> KrausChannel:
     low = float(w.min())
     if low < -TOL_PSD:
         raise NotPSDError("Choi matrix is not PSD", residual=low)
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > tol_rank:
-            ops.append(np.sqrt(lam) * vec.reshape(n, n, order="F"))
-    if not ops:
+    keep = w > tol_rank
+    if not np.any(keep):
         raise ValueError("Choi matrix has no eigenvalue above tol_rank")
-    return KrausChannel(tuple(ops))
+    # Column m of v is vec(C_m) / sqrt(w_m); un-vec each in column-major order.
+    vecs = (v[:, keep] * np.sqrt(w[keep])).T
+    return KrausChannel(vecs.reshape(-1, n, n).transpose(0, 2, 1))
 
 
 def convex_combine(
@@ -201,17 +221,15 @@ def convex_combine(
     if np.any(w < 0):
         raise ValueError(f"weights must be non-negative, got {w.tolist()}")
     total = float(w.sum())
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > TOL_WEIGHT_SUM:
         raise ValueError(f"weights must sum to 1, got {total!r}")
     dim = channels[0].dim
     for i, ch in enumerate(channels):
         if ch.dim != dim:
             raise ValueError(f"channel {i} has dim {ch.dim}, expected {dim}")
-    ops = []
-    for wj, ch in zip(w, channels):
-        root = np.sqrt(wj)
-        ops.extend(root * c for c in ch.kraus)
-    return KrausChannel(tuple(ops))
+    return KrausChannel(
+        np.concatenate([np.sqrt(wj) * ch.stack for wj, ch in zip(w, channels)])
+    )
 
 
 def _choi_dim(j: np.ndarray) -> int:

@@ -7,6 +7,9 @@ supplementary report lines to stderr; reporting commands print to stdout.
 Exit codes: 0 all requested checks pass, 1 a property check failed,
 2 usage or parse error.  The environment variable XCHAN_TOL (a decimal
 string) overrides the tolerances used by the check/dilate reports.
+
+Size arguments are capped so that no accepted command line can ask for
+memory without bound; a larger value is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .extremal import (
     sample_extremal,
     sample_interior,
 )
-from .linalg import dagger
 from .qubit import NuParams, bloch_affine, channel_from_nu, ellipsoid_samples, predicted_translation
 from .serialize import (
     _is_number,
@@ -50,6 +52,16 @@ from .serialize import (
 )
 from .states import random_density
 from .tolerances import TOL_ORTH, TOL_PSD, TOL_TP, TOL_UNITARY
+
+# Largest ``sample --n``: N=64 already takes about 2 s, 150 MB and an
+# 8.5 MB channel document (k = N operators of N x N entries).
+MAX_SAMPLE_N = 64
+# Largest ``jacobian --n``: the Jacobian's memory grows as N^5, about
+# 83 MB at N=16 and 181 MB at N=20.
+MAX_JACOBIAN_N = 16
+# Largest ``bloch --count``: two (count, 3) float arrays and a CSV file of
+# about 110 bytes per point.
+MAX_BLOCH_COUNT = 10**6
 
 
 def main(argv=None) -> int:
@@ -96,7 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("sample", help="draw a random extremal channel")
-    p.add_argument("--n", type=int, required=True, help="system dimension, >= 2")
+    p.add_argument(
+        "--n",
+        type=_capped_int(MAX_SAMPLE_N),
+        required=True,
+        help=f"system dimension, >= 2 and <= {MAX_SAMPLE_N}",
+    )
     p.add_argument("--seed", type=int, required=True, help="sampling seed")
     p.add_argument("--out", help="write the channel document here instead of stdout")
     p.set_defaults(func=_cmd_sample)
@@ -105,7 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu1", type=float, required=True)
     p.add_argument("--nu2", type=float, required=True)
     p.add_argument("--ellipsoid", help="CSV file for sampled sphere/ellipsoid points")
-    p.add_argument("--count", type=int, default=100, help="sample count for --ellipsoid")
+    p.add_argument(
+        "--count",
+        type=_capped_int(MAX_BLOCH_COUNT),
+        default=100,
+        help=f"sample count for --ellipsoid, <= {MAX_BLOCH_COUNT}",
+    )
     p.add_argument("--seed", type=int, default=0, help="sampling seed for --ellipsoid")
     p.set_defaults(func=_cmd_bloch)
 
@@ -115,7 +137,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dilate)
 
     p = sub.add_parser("jacobian", help="numerical parameter count at a random interior point")
-    p.add_argument("--n", type=int, required=True, help="system dimension, >= 2")
+    p.add_argument(
+        "--n",
+        type=_capped_int(MAX_JACOBIAN_N),
+        required=True,
+        help=f"system dimension, >= 2 and <= {MAX_JACOBIAN_N}",
+    )
     p.add_argument("--seed", type=int, required=True, help="interior-point seed")
     p.add_argument(
         "--step",
@@ -220,10 +247,7 @@ def _cmd_bloch(args) -> int:
 def _cmd_dilate(args) -> int:
     ch = channel_from_doc(json.loads(Path(args.channel).read_text()))
     model = stinespring(ch)
-    total = model.dim_sys * model.dim_env
-    unitarity = float(
-        np.max(np.abs(dagger(model.u) @ model.u - np.eye(total)))
-    )
+    unitarity = model.unitarity_residual
     roundtrip = 0.0
     for seed in range(5):
         rho = random_density(ch.dim, seed)
@@ -277,6 +301,20 @@ def _params_from_doc(doc) -> ExtremalParams:
     raise SchemaError(
         "diagonals", f"expected {n} (full) or {n - 1} (completed) rows of length {n}"
     )
+
+
+def _capped_int(cap: int):
+    """argparse type: an int no larger than ``cap``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = "int"
+    return parse
 
 
 def _tol_override() -> float | None:

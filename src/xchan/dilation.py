@@ -14,7 +14,7 @@ factorization of V, so the same channel always yields the same u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,12 +27,17 @@ from .tolerances import TOL_UNITARY
 
 @dataclass(frozen=True)
 class DilationModel:
-    """Unitary u on sys (x) env with a pure initial environment state."""
+    """Unitary u on sys (x) env with a pure initial environment state.
+
+    ``unitarity_residual`` is the max-entry residual of u^dag u - I that
+    construction measured against ``TOL_UNITARY``.
+    """
 
     dim_sys: int
     dim_env: int
     u: np.ndarray
     env_state: int = 0
+    unitarity_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim_sys < 1 or self.dim_env < 1:
@@ -54,6 +59,7 @@ class DilationModel:
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "unitarity_residual", res)
 
 
 def stinespring(ch: KrausChannel) -> DilationModel:
@@ -79,7 +85,7 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     k = len(ch)
     total = n * k
     # Row r*k + i, column c of V is C_i[r, c].
-    isometry = np.stack(ch.kraus, axis=1).reshape(total, n)
+    isometry = ch.stack.transpose(1, 0, 2).reshape(total, n)
     q = np.linalg.qr(isometry, mode="complete")[0]
     u = np.empty((total, total), dtype=complex)
     # Column c*k + e of u is slot [:, c, e] of this view.
@@ -121,6 +127,4 @@ def kraus_from_dilation(model: DilationModel) -> KrausChannel:
     free columns.
     """
     n, k, e = model.dim_sys, model.dim_env, model.env_state
-    blocks = model.u.reshape(n, k, n, k)
-    ops = tuple(np.ascontiguousarray(blocks[:, i, :, e]) for i in range(k))
-    return KrausChannel(ops)
+    return KrausChannel(model.u.reshape(n, k, n, k)[:, :, :, e].transpose(1, 0, 2))

@@ -23,7 +23,7 @@ import numpy as np
 from .channels import KrausChannel, choi
 from .errors import ColumnOverflowError, SingularComplementError, ValidationError
 from .linalg import ID2, SX, as_complex, dagger, herm_eig
-from .tolerances import TOL_PSD, TOL_TP
+from .tolerances import TOL_COLUMN_SUM, TOL_PSD, TOL_SINGULAR, TOL_TP
 
 # Entries must stay this far from {0, 1} for the Jacobian: the chain factor
 # 1/(2 d) grows near 0, and differences turn one-sided near either end.
@@ -56,7 +56,7 @@ class ExtremalParams:
             raise ValidationError("diagonal entries must lie in [0, 1]")
         sums = (d**2).sum(axis=0)
         worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > 1e-10:
+        if worst > TOL_COLUMN_SUM:
             raise ValidationError(
                 "squared diagonal entries must sum to 1 per column",
                 residual=worst,
@@ -144,15 +144,17 @@ def build_extremal(
         unitaries = canonical_unitaries(n)
     if len(unitaries) != n:
         raise ValueError(f"expected {n} unitaries, got {len(unitaries)}")
-    ops = []
-    for u, entries in zip(unitaries, params.diagonals):
-        u = as_complex(u)
-        if u.shape != (n, n):
-            raise ValueError(f"unitary shape {u.shape} does not match n={n}")
-        if np.all(entries == 0.0):
-            continue
-        ops.append(u * entries[None, :])
-    return KrausChannel(tuple(ops))
+    try:
+        us = np.asarray(unitaries, dtype=complex)
+    except ValueError:
+        us = None
+    if us is None or us.shape != (n, n, n):
+        shapes = [np.shape(u) for u in unitaries]
+        raise ValueError(f"unitary shapes {shapes} do not match n={n}")
+    d = params.diagonals
+    keep = np.any(d != 0.0, axis=1)
+    # Column m of U_i scales by d_{i,m}: U_i diag(D_i).
+    return KrausChannel(us[keep] * d[keep, None, :])
 
 
 def sample_extremal(n: int, seed: int) -> tuple[ExtremalParams, KrausChannel]:
@@ -228,7 +230,8 @@ def pair_reduction_step(
     Raises
     ------
     SingularComplementError
-        If I - A_drop has an eigenvalue <= 1e-8 and cannot be inverted.
+        If I - A_drop has an eigenvalue <= TOL_SINGULAR and cannot be
+        inverted.
     """
     mats = [as_complex(a) for a in mats]
     if not mats:
@@ -245,7 +248,7 @@ def pair_reduction_step(
     complement = np.eye(n) - mats[drop_index]
     w, v = herm_eig(complement)
     low = float(w.min())
-    if low <= 1e-8:
+    if low <= TOL_SINGULAR:
         raise SingularComplementError(
             "I - A_drop is numerically singular", residual=low
         )
@@ -312,7 +315,5 @@ def _choi_embedding(free_squares: np.ndarray, unitaries) -> np.ndarray:
     last = np.clip(1.0 - free_squares.sum(axis=0), 0.0, None)
     squares = np.vstack([np.clip(free_squares, 0.0, None), last[None, :]])
     d = np.sqrt(squares)
-    n = d.shape[0]
-    ops = [u * row[None, :] for u, row in zip(unitaries, d)]
-    j = choi(KrausChannel(tuple(ops)))
+    j = choi(KrausChannel(np.asarray(unitaries) * d[:, None, :]))
     return np.concatenate([j.real.ravel(), j.imag.ravel()])

@@ -133,21 +133,24 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, d, v
 
 
-def matrix_rank(mats: Sequence[np.ndarray], tol_rank: float = TOL_RANK) -> int:
+def matrix_rank(mats: Sequence[np.ndarray] | np.ndarray, tol_rank: float = TOL_RANK) -> int:
     """Numerical rank of a set of same-shaped matrices under vectorization.
 
-    Counts singular values above ``tol_rank`` times the largest one.
+    ``mats`` is a sequence of matrices or an (m, r, c) array.  Counts
+    singular values above ``tol_rank`` times the largest one.
     """
     if len(mats) == 0:
         raise ValueError("matrix_rank needs at least one matrix")
-    shape = np.shape(mats[0])
-    rows = []
-    for m in mats:
-        m = as_complex(m)
-        if m.shape != shape:
-            raise ValueError(f"matrix shape {m.shape} differs from {shape}")
-        rows.append(m.ravel())
-    s = np.linalg.svd(np.array(rows), compute_uv=False)
+    try:
+        stack = np.asarray(mats, dtype=complex)
+    except ValueError:
+        shapes = sorted({np.shape(m) for m in mats})
+        raise ValueError(f"matrices differ in shape: {shapes}") from None
+    if stack.ndim != 3:
+        raise ValueError(f"expected a set of 2-D matrices, got shape {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix has non-finite entries")
+    s = np.linalg.svd(stack.reshape(len(stack), -1), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol_rank * s[0]))

@@ -39,6 +39,9 @@ from .extremal import ExtremalParams, build_extremal
 from .linalg import ID2, PAULIS, SX, SY
 from .states import DensityMatrix, bloch_to_rho, rho_to_bloch
 
+# (I, sigma_x, sigma_y, sigma_z): the inputs whose images give the affine map.
+_BASIS = np.stack([ID2, *PAULIS])
+
 
 @dataclass(frozen=True)
 class NuParams:
@@ -122,21 +125,21 @@ def bloch_affine(ch: KrausChannel) -> BlochAffine:
     """Affine Bloch-vector action of a qubit channel.
 
     t_lin[i, j] = Tr[sigma_i B(sigma_j)] / 2 and t_vec[i] =
-    Tr[sigma_i B(I)] / 2, read off by applying the channel to the Pauli
-    basis.
+    Tr[sigma_i B(I)] / 2, read off by applying the channel to the basis
+    (I, sigma_x, sigma_y, sigma_z) in one batched product.
     """
     if ch.dim != 2:
         raise ValidationError(
             f"Bloch geometry needs a qubit channel, got dim {ch.dim}"
         )
-    t_lin = np.empty((3, 3))
-    t_vec = np.empty(3)
-    image_id = apply_to_matrix(ch, ID2)
-    for i, si in enumerate(PAULIS):
-        t_vec[i] = 0.5 * np.trace(si @ image_id).real
-        for j, sj in enumerate(PAULIS):
-            t_lin[i, j] = 0.5 * np.trace(si @ apply_to_matrix(ch, sj)).real
-    return BlochAffine(t_lin, t_vec)
+    stack = ch.stack
+    # images[j] = B(basis[j]); stack axis 0, basis axis 1.
+    images = (
+        stack[:, None] @ _BASIS[None] @ stack.conj().transpose(0, 2, 1)[:, None]
+    ).sum(axis=0)
+    # table[i, j] = Tr[sigma_i B(basis[j])] / 2.
+    table = 0.5 * np.einsum("iab,jba->ij", _BASIS[1:], images).real
+    return BlochAffine(table[:, 1:], table[:, 0])
 
 
 def predicted_translation(p: NuParams) -> float:

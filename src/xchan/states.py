@@ -17,10 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import PAULIS, as_complex, dagger, herm_residual
-from .tolerances import TOL_HERM, TOL_PSD
-
-TOL_TRACE = 1e-10
-TOL_BLOCH_NORM = 1e-10
+from .tolerances import TOL_BLOCH_NORM, TOL_HERM, TOL_PSD, TOL_TRACE
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from xchan.channels import KrausChannel, apply, choi, convex_combine
-from xchan.cli import main
+from xchan import cli
+from xchan.cli import MAX_BLOCH_COUNT, MAX_JACOBIAN_N, MAX_SAMPLE_N, main
 from xchan.extremal import sample_extremal
 from xchan.linalg import ID2, SX
 from xchan.qubit import NuParams, channel_from_nu
@@ -188,6 +189,13 @@ def test_dilate_report_and_document(tmp_path, channel_file, capsys):
     assert len(doc["unitary"]) == 3 * len(ch)
 
 
+def test_dilate_prints_the_models_unitarity_residual(channel_file, capsys):
+    ch_path, ch = channel_file
+    assert main(["dilate", str(ch_path)]) == 0
+    residual = cli.stinespring(ch).unitarity_residual
+    assert f"unitarity residual: {residual:.3e}" in capsys.readouterr().err
+
+
 def test_dilate_report_goes_to_stderr_without_out(channel_file, capsys):
     ch_path, _ = channel_file
     assert main(["dilate", str(ch_path)]) == 0
@@ -267,3 +275,49 @@ def test_module_entry_point_runs():
     )
     assert usage.returncode == 2
     assert "usage" in usage.stderr.lower()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a capped size reached the library")
+
+
+@pytest.mark.parametrize(
+    "argv,patched",
+    [
+        (["sample", "--n", str(MAX_SAMPLE_N + 1), "--seed", "0"], ("sample_extremal",)),
+        (
+            ["jacobian", "--n", str(MAX_JACOBIAN_N + 1), "--seed", "0"],
+            ("sample_interior", "parameter_jacobian_rank"),
+        ),
+        (
+            ["bloch", "--nu1", "0.8", "--nu2", "0.5", "--ellipsoid", "x.csv",
+             "--count", str(MAX_BLOCH_COUNT + 1)],
+            ("ellipsoid_samples", "channel_from_nu"),
+        ),
+        (["sample", "--n", "1000000000", "--seed", "0"], ("sample_extremal",)),
+    ],
+)
+def test_sizes_above_the_cap_are_usage_errors(argv, patched, monkeypatch, capsys):
+    for name in patched:
+        monkeypatch.setattr(cli, name, _refuse)
+    assert main(argv) == 2
+    assert "must be at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,attr,cap",
+    [
+        (["sample", "--seed", "0", "--n"], "n", MAX_SAMPLE_N),
+        (["jacobian", "--seed", "0", "--n"], "n", MAX_JACOBIAN_N),
+        (["bloch", "--nu1", "0.5", "--nu2", "0.5", "--count"], "count", MAX_BLOCH_COUNT),
+    ],
+)
+def test_sizes_at_the_cap_parse_and_show_in_help(argv, attr, cap, capsys):
+    parser = cli._build_parser()
+    assert getattr(parser.parse_args([*argv, str(cap)]), attr) == cap
+    assert main([argv[0], "--help"]) == 0
+    assert f"<= {cap}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_caps_have_the_documented_values():
+    assert (MAX_SAMPLE_N, MAX_JACOBIAN_N, MAX_BLOCH_COUNT) == (64, 16, 10**6)

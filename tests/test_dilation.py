@@ -132,3 +132,15 @@ def test_evolution_rejects_dimension_mismatch():
     model = stinespring(damping_channel(0.5))
     with pytest.raises(ValueError):
         evolve_via_dilation(model, random_density(3, 0))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_model_keeps_its_unitarity_residual(n):
+    _, ch = sample_extremal(n, 21)
+    model = stinespring(ch)
+    total = model.dim_sys * model.dim_env
+    expected = float(np.max(np.abs(dagger(model.u) @ model.u - np.eye(total))))
+    assert model.unitarity_residual == expected
+    assert "unitarity_residual" not in repr(model)
+    with pytest.raises(TypeError):
+        DilationModel(dim_sys=1, dim_env=1, u=np.eye(1), unitarity_residual=0.0)

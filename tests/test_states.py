@@ -86,3 +86,17 @@ def test_bloch_vector_outside_ball_is_rejected():
 def test_bloch_readout_needs_a_qubit():
     with pytest.raises(ValueError):
         rho_to_bloch(random_density(3, 0))
+
+
+def test_tolerance_table_keeps_the_former_literals():
+    from xchan import states, tolerances
+
+    assert states.TOL_TRACE is tolerances.TOL_TRACE
+    assert states.TOL_BLOCH_NORM is tolerances.TOL_BLOCH_NORM
+    assert (
+        tolerances.TOL_TRACE,
+        tolerances.TOL_BLOCH_NORM,
+        tolerances.TOL_WEIGHT_SUM,
+        tolerances.TOL_COLUMN_SUM,
+        tolerances.TOL_SINGULAR,
+    ) == (1e-10, 1e-10, 1e-12, 1e-10, 1e-8)
