@@ -9,7 +9,9 @@ acting on sys (x) |0> is the isometry V = sum_i C_i (x) |i><0|, and
 
 The remaining columns of u are free; they are filled with an orthonormal
 basis of the complement of V's range, taken from one complete QR
-factorization of V, so the same channel always yields the same u.
+factorization of V, so the same channel always yields the same u.  When V
+has no imaginary part the QR and the unitarity check run in real
+arithmetic; u is complex128 either way.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .channels import KrausChannel, check_trace_preserving
 from .errors import NotTracePreservingError, ValidationError
-from .linalg import as_complex, dagger
+from .linalg import as_complex, dagger, real_if_exact
 from .states import DensityMatrix
 from .tolerances import TOL_UNITARY
 
@@ -53,7 +55,9 @@ class DilationModel:
                 f"unitary must be {total}x{total} for dims "
                 f"({self.dim_sys}, {self.dim_env}), got {u.shape}"
             )
-        res = float(np.max(np.abs(dagger(u) @ u - np.eye(total))))
+        # Contiguous, so that a real r^T r is one symmetric BLAS product.
+        r = np.ascontiguousarray(real_if_exact(u))
+        res = float(np.max(np.abs(dagger(r) @ r - np.eye(total))))
         if res > TOL_UNITARY:
             raise ValidationError("u is not unitary", residual=res)
         u = u.copy()
@@ -86,7 +90,7 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     total = n * k
     # Row r*k + i, column c of V is C_i[r, c].
     isometry = ch.stack.transpose(1, 0, 2).reshape(total, n)
-    q = np.linalg.qr(isometry, mode="complete")[0]
+    q = np.linalg.qr(real_if_exact(isometry), mode="complete")[0]
     u = np.empty((total, total), dtype=complex)
     # Column c*k + e of u is slot [:, c, e] of this view.
     slots = u.reshape(total, n, k)

@@ -150,8 +150,22 @@ def test_choi_diagnostics_for_trace_preserving_channels(n, seed):
 
 @pytest.mark.parametrize("n,seed", [(2, 6), (4, 8), (8, 9)])
 def test_choi_min_eigenvalue_is_the_smallest_eigenvalue(n, seed):
+    # A sampled channel's Choi matrix is exactly real, so the real routine
+    # is the one that decomposes it.
     _, ch = sample_extremal(n, seed)
     j = choi(ch)
+    assert not j.imag.any()
+    assert choi_min_eigenvalue(j) == np.min(np.linalg.eigvalsh(j.real))
+
+
+@pytest.mark.parametrize("n,seed", [(2, 6), (4, 8), (8, 9)])
+def test_choi_min_eigenvalue_of_a_rotated_channel_uses_the_complex_routine(
+    n, seed, haar_unitary
+):
+    _, ch = sample_extremal(n, seed)
+    rotated = KrausChannel(haar_unitary(n, seed) @ ch.stack @ haar_unitary(n, seed + 1))
+    j = choi(rotated)
+    assert j.imag.any()
     assert choi_min_eigenvalue(j) == np.min(np.linalg.eigvalsh(j))
 
 

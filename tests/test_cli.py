@@ -7,7 +7,7 @@ import pytest
 
 from xchan.channels import KrausChannel, apply, choi, convex_combine
 from xchan import cli
-from xchan.cli import MAX_BLOCH_COUNT, MAX_JACOBIAN_N, MAX_SAMPLE_N, main
+from xchan.cli import MAX_BLOCH_COUNT, MAX_DILATE_DIM, MAX_JACOBIAN_N, MAX_SAMPLE_N, main
 from xchan.extremal import sample_extremal
 from xchan.linalg import ID2, SX
 from xchan.qubit import NuParams, channel_from_nu
@@ -321,3 +321,39 @@ def test_sizes_at_the_cap_parse_and_show_in_help(argv, attr, cap, capsys):
 
 def test_caps_have_the_documented_values():
     assert (MAX_SAMPLE_N, MAX_JACOBIAN_N, MAX_BLOCH_COUNT) == (64, 16, 10**6)
+    assert MAX_DILATE_DIM == 1024
+
+
+def _scaled_identity_file(tmp_path, k: int):
+    """A 2-level channel of k operators I / sqrt(k): trace preserving, N*k = 2k."""
+    path = tmp_path / f"identity{k}.json"
+    path.write_text(dump_channel(KrausChannel(np.tile(ID2 / np.sqrt(k), (k, 1, 1)))))
+    return path
+
+
+def test_dilate_above_the_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = _scaled_identity_file(tmp_path, MAX_DILATE_DIM // 2 + 1)
+    monkeypatch.setattr(cli, "stinespring", _refuse)
+    assert main(["dilate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be at most" in err
+    assert str(MAX_DILATE_DIM) in err
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def test_dilate_at_the_cap_reaches_the_library_and_shows_in_help(
+    tmp_path, monkeypatch, capsys
+):
+    path = _scaled_identity_file(tmp_path, MAX_DILATE_DIM // 2)
+    monkeypatch.setattr(cli, "stinespring", _reached)
+    with pytest.raises(_Reached):
+        main(["dilate", str(path)])
+    assert main(["dilate", "--help"]) == 0
+    assert f"<= {MAX_DILATE_DIM}" in " ".join(capsys.readouterr().out.split())

@@ -19,7 +19,7 @@ from xchan.linalg import (
     matrix_rank,
     partial_trace,
     psd_sqrt,
-    svd,
+    real_if_exact,
 )
 
 
@@ -157,17 +157,6 @@ def test_psd_sqrt_clamps_round_off_but_rejects_real_negatives():
         psd_sqrt(np.diag([1.0, -1.0]))
 
 
-def test_svd_reconstructs_with_descending_values():
-    rng = np.random.default_rng(11)
-    m = random_complex(rng, 4, 4)
-    u, d, v = svd(m)
-    assert np.all(np.diff(d) <= 0)
-    assert np.all(d >= 0)
-    assert np.allclose(u @ np.diag(d) @ v, m)
-    assert np.allclose(dagger(u) @ u, np.eye(4))
-    assert np.allclose(v @ dagger(v), np.eye(4))
-
-
 def test_matrix_rank_counts_independent_directions():
     assert matrix_rank([ID2, SX, SY, SZ]) == 4
     assert matrix_rank([ID2, 2.0 * ID2]) == 1
@@ -179,3 +168,39 @@ def test_matrix_rank_input_validation():
         matrix_rank([])
     with pytest.raises(ValueError):
         matrix_rank([ID2, np.eye(3)])
+
+
+def test_real_if_exact_views_exactly_real_input():
+    m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    out = real_if_exact(m)
+    assert out.dtype == np.float64
+    assert np.shares_memory(out, m)
+    assert np.array_equal(out, m.real)
+
+    signed = np.array([[1.0, complex(2.0, -0.0)], [3.0, 4.0]], dtype=complex)
+    assert np.signbit(signed.imag).any()
+    out = real_if_exact(signed)
+    assert out.dtype == np.float64
+    assert np.shares_memory(out, signed)
+
+
+def test_real_if_exact_keeps_any_nonzero_imaginary_part():
+    m = np.eye(3, dtype=complex)
+    m[2, 1] = 1e-300j
+    assert real_if_exact(m) is m
+
+
+def test_real_if_exact_passes_float_input_through():
+    m = np.eye(3)
+    assert real_if_exact(m) is m
+
+
+@pytest.mark.parametrize("imag", [0.0, 1.0])
+def test_herm_eig_returns_complex_vectors_on_either_path(imag):
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((5, 5)) + imag * 1j * rng.standard_normal((5, 5))
+    h = a + dagger(a)
+    w, v = herm_eig(h)
+    assert w.dtype == np.float64
+    assert v.dtype == np.complex128
+    assert np.allclose(v @ np.diag(w) @ dagger(v), h)
