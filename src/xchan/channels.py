@@ -29,6 +29,7 @@ import numpy as np
 from .errors import NotPSDError, NotTracePreservingError
 from .linalg import (
     as_complex,
+    as_complex_stack,
     herm_eig,
     herm_eigvals,
     matrix_rank,
@@ -54,19 +55,12 @@ class KrausChannel:
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.kraus) == 0:
-            raise ValueError("a channel needs at least one Kraus operator")
-        try:
-            stack = np.array(self.kraus, dtype=complex)
-        except ValueError:
-            shapes = [np.shape(c) for c in self.kraus]
-            raise ValueError(f"Kraus operators differ in shape: {shapes}") from None
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        stack = as_complex_stack(self.kraus)
+        if stack.shape[1] != stack.shape[2]:
             raise ValueError(
                 f"Kraus operators must be square matrices, got stack shape {stack.shape}"
             )
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("Kraus operators have non-finite entries")
+        stack = stack.copy()
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
@@ -99,6 +93,14 @@ def check_trace_preserving(ch: KrausChannel, tol: float = TOL_TP) -> CheckResult
     return CheckResult(residual <= tol, residual)
 
 
+def require_trace_preserving(ch: KrausChannel, why: str, tol: float = TOL_TP) -> None:
+    """Raise ``NotTracePreservingError`` saying ``why``, with the residual,
+    unless ``check_trace_preserving(ch, tol)`` passes."""
+    ok, residual = check_trace_preserving(ch, tol)
+    if not ok:
+        raise NotTracePreservingError(why, residual=residual)
+
+
 def check_unital(ch: KrausChannel, tol: float = TOL_TP) -> CheckResult:
     """Max-entry residual of sum_i C_i C_i^dag - I (identity preservation)."""
     # Columns i*N + c of B hold C_i[:, c], so B B^dag = sum_i C_i C_i^dag.
@@ -128,12 +130,9 @@ def check_extremal(
     padding a channel with redundant operators lowers the rank, so canonical
     answers come from the minimal Kraus set (see ``kraus_from_choi``).
     """
-    ok, residual = check_trace_preserving(ch, tol_tp)
-    if not ok:
-        raise NotTracePreservingError(
-            "extremality is defined for trace-preserving channels",
-            residual=residual,
-        )
+    require_trace_preserving(
+        ch, "extremality is defined for trace-preserving channels", tol_tp
+    )
     stack = ch.stack
     # products[i*k + j] = C_i^dag C_j.
     products = stack.conj().transpose(0, 2, 1)[:, None] @ stack[None]
@@ -146,11 +145,9 @@ def apply(ch: KrausChannel, rho: DensityMatrix, tol: float = TOL_TP) -> DensityM
     """Channel action sum_i C_i rho C_i^dag on a validated state."""
     if ch.dim != rho.dim:
         raise ValueError(f"channel dim {ch.dim} != state dim {rho.dim}")
-    ok, residual = check_trace_preserving(ch, tol)
-    if not ok:
-        raise NotTracePreservingError(
-            "refusing to apply a non-trace-preserving channel", residual=residual
-        )
+    require_trace_preserving(
+        ch, "refusing to apply a non-trace-preserving channel", tol
+    )
     return DensityMatrix(apply_to_matrix(ch, rho.mat))
 
 
@@ -233,8 +230,10 @@ def convex_combine(
 
 
 def _choi_dim(j: np.ndarray) -> int:
-    j = as_complex(j)
-    n = round(np.sqrt(j.shape[0]))
-    if j.shape[0] != j.shape[1] or n * n != j.shape[0]:
-        raise ValueError(f"Choi matrix must be N^2 x N^2, got shape {j.shape}")
+    # Shape only: the decomposition or partial trace that follows coerces j
+    # and checks its entries.
+    shape = np.shape(j)
+    n = round(np.sqrt(shape[0])) if len(shape) == 2 else 0
+    if len(shape) != 2 or shape[0] != shape[1] or n * n != shape[0]:
+        raise ValueError(f"Choi matrix must be N^2 x N^2, got shape {shape}")
     return n

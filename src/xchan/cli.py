@@ -43,11 +43,11 @@ from .extremal import (
 )
 from .qubit import NuParams, bloch_affine, channel_from_nu, ellipsoid_samples, predicted_translation
 from .serialize import (
-    _is_number,
     channel_from_doc,
     dump_channel,
     dump_state,
     matrix_to_doc,
+    numbers_from_doc,
     parse_state,
 )
 from .states import random_density
@@ -188,9 +188,9 @@ def _cmd_check(args) -> int:
         json.loads(Path(args.channel).read_text()), require_tp=False
     )
     override = _tol_override()
-    tol_tp = override if override is not None else TOL_TP
-    tol_orth = override if override is not None else TOL_ORTH
-    tol_psd = override if override is not None else TOL_PSD
+    tol_tp = override or TOL_TP
+    tol_orth = override or TOL_ORTH
+    tol_psd = override or TOL_PSD
 
     tp = check_trace_preserving(ch, tol_tp)
     orth = check_trace_orthogonal(ch, tol_orth)
@@ -275,8 +275,7 @@ def _cmd_dilate(args) -> int:
     }
     _emit(json.dumps(doc, indent=1), args.out)
     report = sys.stdout if args.out else sys.stderr
-    override = _tol_override()
-    tol = override if override is not None else TOL_UNITARY
+    tol = _tol_override() or TOL_UNITARY
     print(f"unitarity residual: {unitarity:.3e}", file=report)
     print(f"roundtrip residual: {roundtrip:.3e}", file=report)
     ok = unitarity <= tol and roundtrip <= tol
@@ -295,21 +294,11 @@ def _cmd_jacobian(args) -> int:
 def _params_from_doc(doc) -> ExtremalParams:
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
-    rows = doc.get("diagonals")
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError("diagonals", "expected a non-empty list of rows")
-    n = None
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or not all(_is_number(x) for x in row):
-            raise SchemaError(f"diagonals[{i}]", "expected a list of numbers")
-        if n is None:
-            n = len(row)
-        elif len(row) != n:
-            raise SchemaError(f"diagonals[{i}]", f"row length {len(row)} != {n}")
-    arr = np.array(rows, dtype=float)
-    if len(rows) == n:
+    arr = numbers_from_doc(doc.get("diagonals"), "diagonals")
+    rows, n = arr.shape
+    if rows == n:
         return ExtremalParams(arr)
-    if len(rows) == n - 1:
+    if rows == n - 1:
         return complete_last_diagonal(arr)
     raise SchemaError(
         "diagonals", f"expected {n} (full) or {n - 1} (completed) rows of length {n}"

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, check_trace_preserving
-from .errors import NotTracePreservingError, ValidationError
+from .channels import KrausChannel, require_trace_preserving
+from .errors import ValidationError
 from .linalg import as_complex, dagger, real_if_exact
 from .states import DensityMatrix
 from .tolerances import TOL_UNITARY
@@ -80,11 +80,7 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     NotTracePreservingError
         If the completeness sum deviates, since then V is not an isometry.
     """
-    tp = check_trace_preserving(ch)
-    if not tp.ok:
-        raise NotTracePreservingError(
-            "dilation requires a trace-preserving channel", residual=tp.residual
-        )
+    require_trace_preserving(ch, "dilation requires a trace-preserving channel")
     n = ch.dim
     k = len(ch)
     total = n * k

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import KrausChannel, choi
 from .errors import ColumnOverflowError, SingularComplementError, ValidationError
-from .linalg import ID2, SX, as_complex, dagger, herm_eig
+from .linalg import ID2, SX, as_complex_stack, dagger, herm_eig
 from .tolerances import TOL_COLUMN_SUM, TOL_PSD, TOL_SINGULAR, TOL_TP
 
 # Entries must stay this far from {0, 1} for the Jacobian: the chain factor
@@ -142,15 +142,9 @@ def build_extremal(
     n = params.n
     if unitaries is None:
         unitaries = canonical_unitaries(n)
-    if len(unitaries) != n:
-        raise ValueError(f"expected {n} unitaries, got {len(unitaries)}")
-    try:
-        us = np.asarray(unitaries, dtype=complex)
-    except ValueError:
-        us = None
-    if us is None or us.shape != (n, n, n):
-        shapes = [np.shape(u) for u in unitaries]
-        raise ValueError(f"unitary shapes {shapes} do not match n={n}")
+    us = as_complex_stack(unitaries)
+    if us.shape != (n, n, n):
+        raise ValueError(f"expected {n} unitaries of shape ({n}, {n}), got {us.shape}")
     d = params.diagonals
     keep = np.any(d != 0.0, axis=1)
     # Column m of U_i scales by d_{i,m}: U_i diag(D_i).
@@ -233,14 +227,13 @@ def pair_reduction_step(
         If I - A_drop has an eigenvalue <= TOL_SINGULAR and cannot be
         inverted.
     """
-    mats = [as_complex(a) for a in mats]
-    if not mats:
-        raise ValueError("need at least one matrix")
+    mats = as_complex_stack(mats)
+    n = mats.shape[1]
+    if mats.shape[2] != n:
+        raise ValueError(f"expected square matrices, got stack shape {mats.shape}")
     if not 0 <= drop_index < len(mats):
         raise ValueError(f"drop_index {drop_index} out of range")
-    n = mats[0].shape[0]
-    total = sum(mats)
-    residual = float(np.max(np.abs(total - np.eye(n))))
+    residual = float(np.max(np.abs(mats.sum(axis=0) - np.eye(n))))
     if residual > TOL_TP:
         raise ValidationError(
             "matrices must sum to the identity", residual=residual

@@ -1,10 +1,15 @@
 """Dense complex linear algebra primitives for small matrices.
 
 Everything takes plain ``numpy`` arrays, works in ``complex128`` and is sized
-for the dimensions this package works at (N <= 16): Kronecker products,
-partial traces, Hermitian eigendecomposition, PSD square roots, and
-numerical rank (via SVD).  Eigenvalues and singular values are always
-returned in descending order so downstream output is deterministic.
+for the dimensions this package works at (N <= 16): partial traces,
+Hermitian eigendecomposition, PSD square roots, and numerical rank (via
+SVD).  Eigenvalues and singular values are always returned in descending
+order so downstream output is deterministic.
+
+Matrix input is checked by one gate per kind: ``as_complex`` (a finite 2-D
+matrix), ``as_complex_stack`` (a non-empty set of same-shape finite
+matrices) and ``checked_hermitian`` (a finite square matrix, Hermitian
+within tolerance).  Other modules call these rather than repeat the checks.
 
 A decomposition whose input has an imaginary part that is exactly zero
 everywhere runs in real arithmetic (``real_if_exact``): the real and the
@@ -40,9 +45,30 @@ def as_complex(m) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
     if out.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    if not np.isfinite(out).all():
         raise ValueError("matrix has non-finite entries")
     return out
+
+
+def as_complex_stack(mats) -> np.ndarray:
+    """Coerce a non-empty set of same-shape matrices to a (k, r, c) complex128
+    array, rejecting NaN/Inf entries.
+
+    ``mats`` is a sequence of 2-D matrices or a (k, r, c) array; the result
+    may share memory with an input that is already complex128.
+    """
+    if len(mats) == 0:
+        raise ValueError("need at least one matrix")
+    try:
+        stack = np.asarray(mats, dtype=complex)
+    except ValueError:
+        shapes = [np.shape(m) for m in mats]
+        raise ValueError(f"matrices differ in shape: {shapes}") from None
+    if stack.ndim != 3:
+        raise ValueError(f"expected a set of 2-D matrices, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix has non-finite entries")
+    return stack
 
 
 def real_if_exact(m: np.ndarray) -> np.ndarray:
@@ -62,11 +88,6 @@ def herm_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (ra*rb) x (ca*cb)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(
     m: np.ndarray,
     dim_sys: int,
@@ -76,7 +97,7 @@ def partial_trace(
     """Trace out one tensor factor of a (dim_sys*dim_env)-dimensional matrix.
 
     The composite ordering is system-first: index ``(s, e) -> s*dim_env + e``,
-    matching ``kron(system_op, env_op)``.
+    matching ``np.kron(system_op, env_op)``.
 
     Parameters
     ----------
@@ -112,7 +133,7 @@ def herm_eig(h: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarr
     NotHermitianError
         If the input deviates from Hermiticity by more than ``tol``.
     """
-    w, v = np.linalg.eigh(_checked_hermitian(h, tol))
+    w, v = np.linalg.eigh(checked_hermitian(h, tol))
     return w[::-1].copy(), v[:, ::-1].astype(complex)
 
 
@@ -124,7 +145,7 @@ def herm_eigvals(h: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     NotHermitianError
         If the input deviates from Hermiticity by more than ``tol``.
     """
-    return np.linalg.eigvalsh(_checked_hermitian(h, tol))[::-1].copy()
+    return np.linalg.eigvalsh(checked_hermitian(h, tol))[::-1].copy()
 
 
 def psd_sqrt(p: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
@@ -148,28 +169,23 @@ def matrix_rank(mats: Sequence[np.ndarray] | np.ndarray, tol_rank: float = TOL_R
     ``mats`` is a sequence of matrices or an (m, r, c) array.  Counts
     singular values above ``tol_rank`` times the largest one.
     """
-    if len(mats) == 0:
-        raise ValueError("matrix_rank needs at least one matrix")
-    try:
-        stack = np.asarray(mats, dtype=complex)
-    except ValueError:
-        shapes = sorted({np.shape(m) for m in mats})
-        raise ValueError(f"matrices differ in shape: {shapes}") from None
-    if stack.ndim != 3:
-        raise ValueError(f"expected a set of 2-D matrices, got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("matrix has non-finite entries")
+    stack = as_complex_stack(mats)
     s = np.linalg.svd(real_if_exact(stack.reshape(len(stack), -1)), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol_rank * s[0]))
 
 
-def _checked_hermitian(h, tol: float) -> np.ndarray:
-    """The matrix to decompose, after the square and Hermiticity checks.
+def checked_hermitian(h, tol: float = TOL_HERM) -> np.ndarray:
+    """``h`` after the finite, square and Hermiticity checks.
 
-    That is ``h`` as complex128, or its real view when ``h`` is exactly
+    Returns ``h`` as complex128, or its real view when ``h`` is exactly
     real; the residual is the same either way.
+
+    Raises
+    ------
+    NotHermitianError
+        If ``h`` deviates from Hermiticity by more than ``tol``.
     """
     h = real_if_exact(as_complex(h))
     if h.shape[0] != h.shape[1]:

@@ -6,60 +6,63 @@ use ``{"dim": N, "rho": matrix}`` with the same matrix encoding.  Floats are
 emitted with ``repr``-exact decimals, so parse -> serialize -> parse is the
 identity on values.
 
-Schema violations raise SchemaError naming the offending field; malformed
-JSON raises json.JSONDecodeError (with position) from the parser itself.
+Every JSON number passes one test, ``_is_finite_number``; matrices and other
+number tables are decoded by ``numbers_from_doc``.  Schema violations raise
+SchemaError naming the offending field; malformed JSON raises
+json.JSONDecodeError (with position) from the parser itself.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
 
-from .channels import KrausChannel, check_trace_preserving
-from .errors import NotTracePreservingError, SchemaError
+from .channels import KrausChannel, require_trace_preserving
+from .errors import SchemaError
 from .states import DensityMatrix
+
+_DOUBLE_MAX = sys.float_info.max
 
 
 def matrix_to_doc(m: np.ndarray) -> list:
     """Nested-list encoding with [re, im] entry pairs."""
     m = np.asarray(m, dtype=complex)
-    return [
-        [[float(e.real), float(e.imag)] for e in row] for row in m
-    ]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
-def matrix_from_doc(doc: Any, field: str) -> np.ndarray:
-    """Decode one matrix, reporting the field path of any violation."""
+def numbers_from_doc(doc: Any, field: str, pairs: bool = False) -> np.ndarray:
+    """Decode a non-empty list of equal-length, non-empty rows of JSON numbers.
+
+    With ``pairs`` every entry is an ``[re, im]`` number pair and the result
+    is a float array of shape (rows, cols, 2), else of shape (rows, cols).
+    This is the package's one input-number policy: a boolean is not a
+    number, and NaN, the infinities and an int beyond double range are not
+    finite.  SchemaError names the first offending row or entry.
+    """
     if not isinstance(doc, list) or not doc:
         raise SchemaError(field, "expected a non-empty list of rows")
+    entry_ok = _is_finite_pair if pairs else _is_finite_number
     width = None
-    rows = []
     for r, row in enumerate(doc):
         if not isinstance(row, list) or not row:
             raise SchemaError(f"{field}[{r}]", "expected a non-empty row list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SchemaError(
-                f"{field}[{r}]", f"row length {len(row)} != {width}"
-            )
-        entries = []
-        for c, entry in enumerate(row):
-            where = f"{field}[{r}][{c}]"
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(_is_number(x) for x in entry)
-            ):
-                raise SchemaError(where, "expected an [re, im] number pair")
-            value = complex(float(entry[0]), float(entry[1]))
-            if not np.isfinite(value.real) or not np.isfinite(value.imag):
-                raise SchemaError(where, "entries must be finite")
-            entries.append(value)
-        rows.append(entries)
-    return np.array(rows, dtype=complex)
+        width = width or len(row)
+        if len(row) != width:
+            raise SchemaError(f"{field}[{r}]", f"row length {len(row)} != {width}")
+        if not all(map(entry_ok, row)):
+            c = next(c for c, x in enumerate(row) if not entry_ok(x))
+            what = "an [re, im] pair of finite numbers" if pairs else "a finite number"
+            raise SchemaError(f"{field}[{r}][{c}]", f"expected {what}")
+    return np.array(doc, dtype=float)
+
+
+def matrix_from_doc(doc: Any, field: str) -> np.ndarray:
+    """Decode one matrix of [re, im] pairs, reporting the field path of any
+    violation.  Every bit of each part is kept, the sign of -0.0 included."""
+    return numbers_from_doc(doc, field, pairs=True).view(complex)[..., 0]
 
 
 def channel_to_doc(ch: KrausChannel, metadata: dict | None = None) -> dict:
@@ -96,14 +99,11 @@ def channel_from_doc(doc: Any, require_tp: bool = True) -> KrausChannel:
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise SchemaError("metadata", "expected an object")
-    ch = KrausChannel(tuple(ops))
+    ch = KrausChannel(ops)
     if require_tp:
-        ok, residual = check_trace_preserving(ch)
-        if not ok:
-            raise NotTracePreservingError(
-                "channel document violates the completeness condition",
-                residual=residual,
-            )
+        require_trace_preserving(
+            ch, "channel document violates the completeness condition"
+        )
     return ch
 
 
@@ -143,11 +143,21 @@ def dump_state(rho: DensityMatrix) -> str:
 
 def _read_dim(doc: dict) -> int:
     dim = doc.get("dim")
-    if not _is_number(dim) or isinstance(dim, float) or dim < 1:
+    if not _is_finite_number(dim) or isinstance(dim, float) or dim < 1:
         raise SchemaError("dim", "expected a positive integer")
     return dim
 
 
-def _is_number(x: Any) -> bool:
-    """JSON number test: int or float, but not bool (a subclass of int)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite_number(x: Any) -> bool:
+    """JSON number test: int or float but not bool (a subclass of int), and
+    within double range.  The chained comparison is exact for ints and
+    false for NaN."""
+    return (
+        isinstance(x, (int, float))
+        and not isinstance(x, bool)
+        and -_DOUBLE_MAX <= x <= _DOUBLE_MAX
+    )
+
+
+def _is_finite_pair(x: Any) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_finite_number, x))

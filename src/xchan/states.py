@@ -10,29 +10,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotHermitianError,
-    NotPSDError,
-    NotUnitTraceError,
-    ValidationError,
-)
-from .linalg import PAULIS, as_complex, dagger, herm_residual
-from .tolerances import TOL_BLOCH_NORM, TOL_HERM, TOL_PSD, TOL_TRACE
+from .errors import NotPSDError, NotUnitTraceError, ValidationError
+from .linalg import PAULIS, checked_hermitian, dagger
+from .tolerances import TOL_BLOCH_NORM, TOL_PSD, TOL_TRACE
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace state.  Invariants are checked on creation."""
+    """Hermitian, PSD, unit-trace state.  Invariants are checked on creation,
+    in that order; ``mat`` is a read-only complex128 copy of the input."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_complex(self.mat)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        res = herm_residual(m)
-        if res > TOL_HERM:
-            raise NotHermitianError("state is not Hermitian", residual=res)
+        m = checked_hermitian(self.mat)
         tr = abs(complex(np.trace(m)) - 1.0)
         if tr > TOL_TRACE:
             raise NotUnitTraceError("state trace is not 1", residual=tr)
@@ -41,7 +32,9 @@ class DensityMatrix:
             raise NotPSDError(
                 "state has a negative eigenvalue", residual=low
             )
-        m = m.copy()
+        # A copy of the input itself: the gate may return a real view,
+        # which would drop the sign of a -0.0 imaginary part.
+        m = np.array(self.mat, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -56,7 +49,7 @@ def validate_density(m) -> DensityMatrix:
     Raises NotHermitianError, NotUnitTraceError, or NotPSDError naming the
     violated invariant together with the measured residual.
     """
-    return DensityMatrix(np.asarray(m, dtype=complex))
+    return DensityMatrix(m)
 
 
 def bloch_to_rho(w) -> DensityMatrix:

@@ -234,6 +234,35 @@ def test_json_booleans_are_usage_errors(tmp_path, channel_file, flag, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# A JSON integer that no double can hold: float() of it raises OverflowError.
+HUGE_INT = "1" + "0" * 399
+
+
+@pytest.mark.parametrize("field", ["kraus[0][0][0]", "rho[0][0]", "diagonals[0][0]"])
+def test_integers_beyond_double_range_are_parse_errors(
+    tmp_path, channel_file, field, capsys
+):
+    ch_path, _ = channel_file
+    path = tmp_path / "huge.json"
+    name = field.split("[")[0]
+    path.write_text(
+        {
+            "kraus": f'{{"dim": 1, "kraus": [[[[{HUGE_INT}, 0.0]]]]}}',
+            "rho": f'{{"dim": 3, "rho": [[[{HUGE_INT}, 0.0], [0.0, 0.0], [0.0, 0.0]]]}}',
+            "diagonals": f'{{"diagonals": [[{HUGE_INT}, 0.0]]}}',
+        }[name]
+    )
+    argv = {
+        "kraus": ["check", str(path)],
+        "rho": ["apply", "--channel", str(ch_path), "--state", str(path)],
+        "diagonals": ["build", "--params", str(path)],
+    }[name]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
 def test_tolerance_override_relaxes_the_check(tmp_path, monkeypatch, capsys):
     # Perturb one operator so completeness fails at 1e-9 but not at 1e-3.
     _, ch = sample_extremal(2, seed=19)

@@ -10,7 +10,7 @@ from xchan.dilation import (
 )
 from xchan.errors import NotTracePreservingError, ValidationError
 from xchan.extremal import sample_extremal
-from xchan.linalg import ID2, dagger, kron
+from xchan.linalg import ID2, dagger
 from xchan.states import DensityMatrix, random_density
 
 
@@ -33,7 +33,7 @@ def test_full_damping_dilation_columns():
     assert model.u.shape == (4, 4)
     basis_env = np.eye(2, dtype=complex)
     isometry = sum(
-        kron(c, basis_env[:, [i]]) for i, c in enumerate(ch.kraus)
+        np.kron(c, basis_env[:, [i]]) for i, c in enumerate(ch.kraus)
     )
     # Input states ride on env slot 0: composite columns 0 and 2.
     assert np.allclose(model.u[:, [0, 2]], isometry)
@@ -65,7 +65,7 @@ def test_qr_completion_keeps_the_isometry_and_is_deterministic(n):
     k = len(ch)
     total = n * k
     basis_env = np.eye(k, dtype=complex)
-    isometry = sum(kron(c, basis_env[:, [i]]) for i, c in enumerate(ch.kraus))
+    isometry = sum(np.kron(c, basis_env[:, [i]]) for i, c in enumerate(ch.kraus))
     assert np.array_equal(model.u[:, ::k], isometry)
     residual = np.max(np.abs(dagger(model.u) @ model.u - np.eye(total)))
     assert residual <= 1e-10

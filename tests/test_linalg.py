@@ -15,7 +15,6 @@ from xchan.linalg import (
     herm_eig,
     herm_eigvals,
     herm_residual,
-    kron,
     matrix_rank,
     partial_trace,
     psd_sqrt,
@@ -55,19 +54,6 @@ def test_herm_residual_zero_for_hermitian():
     assert herm_residual(h + 1e-3 * 1j * np.eye(2)) == pytest.approx(2e-3)
 
 
-def test_kron_diagonal_values():
-    got = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    assert np.array_equal(got, np.diag([3.0, 4.0, 6.0, 8.0]).astype(complex))
-
-
-def test_kron_order_is_system_first():
-    # kron(A, B) acts as A on the slow index: swapping arguments moves blocks.
-    a = kron(SX, ID2)
-    b = kron(ID2, SX)
-    assert not np.allclose(a, b)
-    assert np.allclose(a[0:2, 2:4], ID2)
-
-
 @pytest.mark.parametrize("dim_sys,dim_env", [(2, 2), (3, 2), (2, 4)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_partial_trace_matches_index_loop(dim_sys, dim_env, seed):
@@ -95,10 +81,10 @@ def test_partial_trace_of_product_factors():
     a = random_complex(rng, 3, 3)
     b = random_complex(rng, 2, 2)
     assert np.allclose(
-        partial_trace(kron(a, b), 3, 2, over="env"), a * np.trace(b)
+        partial_trace(np.kron(a, b), 3, 2, over="env"), a * np.trace(b)
     )
     assert np.allclose(
-        partial_trace(kron(a, b), 3, 2, over="sys"), b * np.trace(a)
+        partial_trace(np.kron(a, b), 3, 2, over="sys"), b * np.trace(a)
     )
 
 

@@ -66,6 +66,17 @@ def test_matrix_doc_encoding_shape():
     )
 
 
+def test_negative_zero_keeps_its_sign_and_the_round_trip_is_byte_identical():
+    text = '{"dim": 1, "kraus": [[[[-0.0, -0.0]]]], "metadata": {"n": 1}}'
+    ch = parse_channel(text, require_tp=False)
+    entry = ch.stack[0, 0, 0]
+    assert np.signbit(entry.real) and np.signbit(entry.imag)
+    once = dump_channel(ch, {"n": 1})
+    assert once.count("-0.0") == 2
+    again = dump_channel(parse_channel(once, require_tp=False), {"n": 1})
+    assert again == once
+
+
 def test_schema_rejects_shape_mismatch():
     doc = {"dim": 2, "kraus": [matrix_to_doc(np.eye(3))]}
     with pytest.raises(SchemaError) as info:
