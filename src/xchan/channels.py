@@ -34,6 +34,7 @@ from .linalg import (
     herm_eigvals,
     matrix_rank,
     partial_trace,
+    real_if_exact,
 )
 from .states import DensityMatrix
 from .tolerances import TOL_ORTH, TOL_PSD, TOL_RANK, TOL_TP, TOL_WEIGHT_SUM
@@ -133,7 +134,7 @@ def check_extremal(
     require_trace_preserving(
         ch, "extremality is defined for trace-preserving channels", tol_tp
     )
-    stack = ch.stack
+    stack = real_if_exact(ch.stack)
     # products[i*k + j] = C_i^dag C_j.
     products = stack.conj().transpose(0, 2, 1)[:, None] @ stack[None]
     rank = matrix_rank(products.reshape(-1, ch.dim, ch.dim), tol_rank)
@@ -167,8 +168,8 @@ def choi(ch: KrausChannel) -> np.ndarray:
     sum_i vec(C_i) vec(C_i)^dag with column-major vectorization.
     """
     # Row i of w is vec(C_i): the rows of C_i^T laid end to end.
-    w = ch.stack.transpose(0, 2, 1).reshape(len(ch), -1)
-    return w.T @ w.conj()
+    w = real_if_exact(ch.stack).transpose(0, 2, 1).reshape(len(ch), -1)
+    return (w.T @ w.conj()).astype(complex, copy=False)
 
 
 def choi_output_trace(j: np.ndarray) -> np.ndarray:

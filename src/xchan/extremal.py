@@ -106,26 +106,29 @@ def complete_last_diagonal(partials) -> ExtremalParams:
 
     ``partials`` is an (N-1, N) array of non-negative entries; the last row
     is completed as sqrt(1 - column sum of squares), with round-off negatives
-    clamped to zero.
+    clamped to zero.  ``ExtremalParams`` checks the completed array.
 
     Raises
     ------
     ColumnOverflowError
-        If some column's squared entries already exceed 1 beyond tolerance.
+        If some column's squared entries already exceed 1 beyond tolerance
+        and every entry is finite and non-negative; otherwise the
+        ``ExtremalParams`` error for the bad entry.
     """
     d = np.asarray(partials, dtype=float)
     if d.ndim != 2 or d.shape != (d.shape[1] - 1, d.shape[1]):
         raise ValueError(
             f"expected (N-1, N) partial diagonals, got shape {d.shape}"
         )
-    if not np.all(np.isfinite(d)):
-        raise ValueError("partial diagonals have non-finite entries")
-    if np.any(d < 0):
-        raise ValidationError("diagonal entries must be non-negative")
-    sums = (d**2).sum(axis=0)
-    for m, s in enumerate(sums):
-        if s > 1.0 + TOL_PSD:
-            raise ColumnOverflowError(column=m, excess=float(s - 1.0))
+    # A square beyond double range is an overflowing column, not a warning.
+    with np.errstate(over="ignore"):
+        sums = (d**2).sum(axis=0)
+    over = np.flatnonzero(sums > 1.0 + TOL_PSD)
+    # A non-finite or negative entry takes precedence over an overflow;
+    # ExtremalParams reports it.
+    if over.size and np.isfinite(d).all() and d.min() >= 0:
+        m = int(over[0])
+        raise ColumnOverflowError(column=m, excess=float(sums[m] - 1.0))
     last = np.sqrt(np.clip(1.0 - sums, 0.0, None))
     return ExtremalParams(np.vstack([d, last[None, :]]))
 

@@ -2,9 +2,9 @@
 
 Everything takes plain ``numpy`` arrays, works in ``complex128`` and is sized
 for the dimensions this package works at (N <= 16): partial traces,
-Hermitian eigendecomposition, PSD square roots, and numerical rank (via
-SVD).  Eigenvalues and singular values are always returned in descending
-order so downstream output is deterministic.
+Hermitian eigendecomposition and numerical rank (via SVD).  Eigenvalues and
+singular values are always returned in descending order so downstream
+output is deterministic.
 
 Matrix input is checked by one gate per kind: ``as_complex`` (a finite 2-D
 matrix), ``as_complex_stack`` (a non-empty set of same-shape finite
@@ -16,6 +16,19 @@ everywhere runs in real arithmetic (``real_if_exact``): the real and the
 complex routine then factor the same matrix, and the real one is two to
 three times as fast on a 256 x 256 matrix.  Outputs keep their documented
 dtypes either way.
+
+A matrix with at least ``_BLOCK_MIN_DIM`` rows and columns whose exact zero
+pattern splits into several connected components is decomposed block by
+block (``_components``; there is no tolerance).  ``herm_eig`` and
+``herm_eigvals`` make one batched call per block size and merge the blocks'
+eigenvalues in descending order, scattering each eigenvector back to its
+block's indices; ``matrix_rank`` takes one batched SVD per block shape and
+compares every singular value with the largest of all.  The Choi matrix of
+a channel ``C_i = U_i D_i`` with permutation ``U_i`` is such a matrix: its
+N^2 x N^2 pattern is one N x N block per operator.  Inside a degenerate
+eigenspace the eigenvectors may differ from those of one dense ``eigh``.
+A matrix whose pattern is one block, such as a dense Haar-rotated Choi
+matrix, takes the dense call unchanged.
 """
 
 from __future__ import annotations
@@ -24,8 +37,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPSDError
-from .tolerances import TOL_HERM, TOL_PSD, TOL_RANK
+from .errors import NotHermitianError
+from .tolerances import TOL_HERM, TOL_RANK
 
 # Pauli basis.  SX, SY, SZ square to the identity and are traceless.
 ID2 = np.eye(2, dtype=complex)
@@ -33,6 +46,13 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SX, SY, SZ)
+
+# A matrix with at least this many rows and columns is decomposed block by
+# block when its exact nonzero pattern splits (see ``_components``).  Below
+# it the pattern search costs more than the smaller calls save: for sampled
+# channels the block and the dense path break even at a 36 x 36 Choi
+# matrix or product stack (N = 6), and the block path wins from 49 x 49.
+_BLOCK_MIN_DIM = 40
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -85,7 +105,12 @@ def real_if_exact(m: np.ndarray) -> np.ndarray:
 
 def herm_residual(m: np.ndarray) -> float:
     """Maximum entry deviation from Hermiticity."""
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    if not m.size:
+        return 0.0
+    d = m - dagger(m)
+    # A real difference takes its absolute value in place: at 256 x 256 a
+    # second fresh array costs three times the arithmetic.
+    return float((np.abs(d, out=d) if np.isrealobj(d) else np.abs(d)).max())
 
 
 def partial_trace(
@@ -133,7 +158,12 @@ def herm_eig(h: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarr
     NotHermitianError
         If the input deviates from Hermiticity by more than ``tol``.
     """
-    w, v = np.linalg.eigh(checked_hermitian(h, tol))
+    h = checked_hermitian(h, tol)
+    if len(h) >= _BLOCK_MIN_DIM:
+        blocks = _hermitian_blocks(h)
+        if _splits(blocks):
+            return _block_eig(h, blocks)
+    w, v = np.linalg.eigh(h)
     return w[::-1].copy(), v[:, ::-1].astype(complex)
 
 
@@ -145,22 +175,12 @@ def herm_eigvals(h: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     NotHermitianError
         If the input deviates from Hermiticity by more than ``tol``.
     """
-    return np.linalg.eigvalsh(checked_hermitian(h, tol))[::-1].copy()
-
-
-def psd_sqrt(p: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S = p.
-
-    Eigenvalues in ``[-tol, 0]`` are clamped to zero; anything below ``-tol``
-    raises ``NotPSDError``.
-    """
-    w, v = herm_eig(p)
-    low = float(w.min()) if w.size else 0.0
-    if low < -tol:
-        raise NotPSDError("matrix has a negative eigenvalue", residual=low)
-    root = np.sqrt(np.clip(w, 0.0, None))
-    s = (v * root) @ dagger(v)
-    return 0.5 * (s + dagger(s))
+    h = checked_hermitian(h, tol)
+    if len(h) >= _BLOCK_MIN_DIM:
+        blocks = _hermitian_blocks(h)
+        if _splits(blocks):
+            return _block_eigvals(h, blocks)
+    return np.linalg.eigvalsh(h)[::-1].copy()
 
 
 def matrix_rank(mats: Sequence[np.ndarray] | np.ndarray, tol_rank: float = TOL_RANK) -> int:
@@ -170,10 +190,12 @@ def matrix_rank(mats: Sequence[np.ndarray] | np.ndarray, tol_rank: float = TOL_R
     singular values above ``tol_rank`` times the largest one.
     """
     stack = as_complex_stack(mats)
-    s = np.linalg.svd(real_if_exact(stack.reshape(len(stack), -1)), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol_rank * s[0]))
+    a = real_if_exact(stack.reshape(len(stack), -1))
+    if min(a.shape) >= _BLOCK_MIN_DIM:
+        groups = _components(a != 0)
+        if _splits(groups):
+            return _block_rank(a, groups, tol_rank)
+    return _count_above(np.linalg.svd(a, compute_uv=False), tol_rank)
 
 
 def checked_hermitian(h, tol: float = TOL_HERM) -> np.ndarray:
@@ -194,3 +216,118 @@ def checked_hermitian(h, tol: float = TOL_HERM) -> np.ndarray:
     if res > tol:
         raise NotHermitianError("matrix is not Hermitian", residual=res)
     return h
+
+
+def _components(nz: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Connected components of a boolean pattern, grouped by block shape.
+
+    The nodes are the rows and the columns of the (m, p) pattern ``nz``, and
+    row r is joined to column c when ``nz[r, c]``.  Returns one
+    ``(rows, cols)`` pair per block shape (a, b): integer arrays of shapes
+    (g, a) and (g, b) that list, in ascending order, the rows and the
+    columns of each of the g components of that shape.  Rows and columns
+    with no True entry belong to no block.  With its blocks' rows and
+    columns made contiguous, the pattern is block diagonal.
+    """
+    m, p = nz.shape
+    if nz.all():
+        return [(np.arange(m)[None], np.arange(p)[None])]
+    # Edges (r, c); column c is node m + c.
+    r, c = np.divmod(np.flatnonzero(nz), p)
+    c += m
+    # Each pass lowers every label to the least label among the node's
+    # neighbours and jumps it once to its own label.  Labels stay inside
+    # their component; once every edge joins two equal labels, each
+    # component carries its least node as its one label.
+    lab = np.arange(m + p)
+    while True:
+        np.minimum.at(lab, c, lab[r])
+        np.minimum.at(lab, r, lab[c])
+        lab = lab[lab]
+        if (lab[r] == lab[c]).all():
+            break
+    # Code each component's shape (a, b) as a * (p + 1) + b and sort the
+    # nodes by shape, then component, then node, so that rows precede
+    # columns and each shape's components are one run of a + b nodes each.
+    code = np.bincount(lab[:m], minlength=m + p) * (p + 1)
+    code += np.bincount(lab[m:], minlength=m + p)
+    code = code[lab]
+    order = np.argsort(code * (m + p) + lab, kind="stable")
+    code = code[order]
+    cuts = (np.flatnonzero(code[1:] != code[:-1]) + 1).tolist()
+    groups = []
+    for start, stop in zip([0] + cuts, cuts + [m + p]):
+        a, b = divmod(int(code[start]), p + 1)
+        if a and b:
+            run = order[start:stop].reshape(-1, a + b)
+            groups.append((run[:, :a], run[:, a:] - m))
+    return groups
+
+
+def _hermitian_blocks(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_components`` of a square matrix's pattern with its diagonal set.
+
+    Setting the diagonal joins row i to column i, so in every block the row
+    and the column indices are the same set: i and j share a block when a
+    chain of nonzero entries, read in either direction, links them.  An
+    index whose row and column are zero is a block of its own.
+    """
+    nz = h != 0
+    np.fill_diagonal(nz, True)
+    return _components(nz)
+
+
+def _splits(groups: list[tuple[np.ndarray, np.ndarray]]) -> bool:
+    """Whether ``_components`` found more than one block."""
+    return sum(len(rows) for rows, _ in groups) > 1
+
+
+def _block_eigvals(h: np.ndarray, blocks) -> np.ndarray:
+    """``herm_eigvals`` of a checked matrix from its ``_hermitian_blocks``,
+    one batched call per block size."""
+    w = np.concatenate([
+        np.linalg.eigvalsh(h[ix[:, :, None], ix[:, None, :]]).ravel()
+        for ix, _ in blocks
+    ])
+    return w[np.argsort(-w, kind="stable")]
+
+
+def _block_eig(h: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig`` of a checked matrix from its ``_hermitian_blocks``, one
+    batched call per block size.
+
+    Each block's eigenvectors are scattered back to its own indices, so the
+    support of every column lies inside one block.
+    """
+    parts = [np.linalg.eigh(h[ix[:, :, None], ix[:, None, :]]) for ix, _ in blocks]
+    w = np.concatenate([wb.ravel() for wb, _ in parts])
+    order = np.argsort(-w, kind="stable")
+    # dest[e] is the column that the e-th eigenvalue, in block order, lands in.
+    dest = np.empty_like(order)
+    dest[order] = np.arange(order.size)
+    v = np.zeros(h.shape, dtype=complex)
+    start = 0
+    for (ix, _), (_, vb) in zip(blocks, parts):
+        cols = dest[start:start + ix.size].reshape(ix.shape)
+        v[ix[:, :, None], cols[:, None, :]] = vb
+        start += ix.size
+    return w[order], v
+
+
+def _block_rank(a: np.ndarray, groups, tol_rank: float) -> int:
+    """``matrix_rank`` of a flattened (m, r*c) stack from its ``_components``,
+    one batched SVD per block shape; rows and columns in no block add
+    only zero singular values."""
+    s = np.concatenate([
+        np.linalg.svd(a[rows[:, :, None], cols[:, None, :]], compute_uv=False).ravel()
+        for rows, cols in groups
+    ])
+    return _count_above(s, tol_rank)
+
+
+def _count_above(s: np.ndarray, tol_rank: float) -> int:
+    """Singular values above ``tol_rank`` times the largest one."""
+    top = float(s.max()) if s.size else 0.0
+    if top == 0.0:
+        return 0
+    return int(np.sum(s > tol_rank * top))

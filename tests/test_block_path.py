@@ -1,0 +1,239 @@
+"""The block path of the Hermitian and rank decompositions matches the dense one.
+
+From ``linalg._BLOCK_MIN_DIM`` rows and columns up, ``herm_eig``,
+``herm_eigvals`` and ``matrix_rank`` split a matrix along the connected
+components of its exact nonzero pattern and decompose each block.  These
+tests call the block code directly, so every N from 2 to 16 is covered
+whatever the crossover, and compare it with one dense call on the same
+matrix: sampled channels, padded mixtures whose supports overlap and merge
+blocks, diagonals with exact zeros (zero rows are blocks of their own), a
+raw Kraus set with an all-zero operator, and a Haar-rotated channel, whose
+dense pattern is one block and keeps the dense path bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xchan import linalg
+from xchan.channels import KrausChannel, choi, convex_combine, kraus_from_choi
+from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
+from xchan.linalg import (
+    _block_eig,
+    _block_eigvals,
+    _block_rank,
+    _components,
+    _hermitian_blocks,
+    _splits,
+    checked_hermitian,
+    herm_eig,
+    herm_eigvals,
+    matrix_rank,
+)
+from xchan.tolerances import TOL_RANK
+
+# Bounded and derandomized, so the suite stays fast and repeatable.
+PROPERTY = settings(max_examples=3, deadline=None, derandomize=True, database=None)
+
+all_dims = pytest.mark.parametrize("n", range(2, 17))
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def products(ch: KrausChannel) -> np.ndarray:
+    """The flattened (k^2, N^2) stack of C_i^dag C_j that check_extremal ranks."""
+    stack = ch.stack
+    prods = stack.conj().transpose(0, 2, 1)[:, None] @ stack[None]
+    return prods.reshape(len(ch) ** 2, -1)
+
+
+def dense_rank(a: np.ndarray) -> int:
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.sum(s > TOL_RANK * s[0])) if s[0] > 0 else 0
+
+
+def assert_paths_agree(ch: KrausChannel) -> None:
+    """Block and dense decompositions of the channel's Choi matrix and
+    product stack agree, and the Choi matrix survives a round trip through
+    the block eigenvectors."""
+    j = choi(ch)
+    h = checked_hermitian(j)
+    blocks = _hermitian_blocks(h)
+    dense = np.linalg.eigvalsh(h)[::-1]
+    w = _block_eigvals(h, blocks)
+    assert np.all(np.diff(w) <= 0)
+    assert np.max(np.abs(w - dense)) <= 1e-14
+    w_vec, v = _block_eig(h, blocks)
+    assert v.dtype == np.complex128
+    assert np.max(np.abs(w_vec - dense)) <= 1e-14
+    assert np.max(np.abs((v * w_vec) @ v.conj().T - j)) <= 1e-12
+    assert np.max(np.abs(v.conj().T @ v - np.eye(len(j)))) <= 1e-12
+
+    a = linalg.real_if_exact(products(ch))
+    assert _block_rank(a, _components(a != 0), TOL_RANK) == dense_rank(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_BLOCK_MIN_DIM", 0)
+        back = kraus_from_choi(j)
+        assert np.max(np.abs(choi(back) - j)) <= 1e-12
+
+
+def with_zero_diagonals(n: int, seed: int) -> ExtremalParams:
+    """Sampled diagonals with entries zeroed at random, each column kept
+    non-zero and renormalized."""
+    d, _ = sample_extremal(n, seed)
+    squares = d.diagonals**2 * (np.random.default_rng(seed).random((n, n)) < 0.5)
+    squares[0, squares.sum(axis=0) == 0] = 1.0
+    return ExtremalParams(np.sqrt(squares / squares.sum(axis=0)))
+
+
+@all_dims
+@PROPERTY
+@given(seed=seeds)
+def test_sampled_channels(n, seed):
+    _, ch = sample_extremal(n, seed)
+    assert_paths_agree(ch)
+    # One block per Kraus operator, each of rank one, plus zero singletons.
+    blocks = _hermitian_blocks(checked_hermitian(choi(ch)))
+    sizes = np.concatenate([np.full(len(ix), ix.shape[1]) for ix, _ in blocks])
+    assert np.sum(sizes == n) == len(ch)
+    assert set(sizes.tolist()) <= {1, n}
+
+
+@all_dims
+@PROPERTY
+@given(seed=seeds, weight=st.floats(min_value=0.05, max_value=0.95))
+def test_padded_mixtures_with_overlapping_supports(n, seed, weight):
+    # Conjugating by a transposition moves the supports of the cyclic
+    # shifts (N >= 5), so the mixture's operators overlap several of the
+    # original blocks and merge them.
+    _, ch = sample_extremal(n, seed)
+    swap = np.eye(n)[[1, 0, *range(2, n)]]
+    moved = KrausChannel(swap @ ch.stack @ swap.T)
+    mixed = convex_combine([ch, moved], [weight, 1.0 - weight])
+    assert_paths_agree(mixed)
+    largest = max(ix.shape[1] for ix, _ in _hermitian_blocks(checked_hermitian(choi(mixed))))
+    assert largest > n if n >= 5 else largest == n
+
+
+@all_dims
+@PROPERTY
+@given(seed=seeds)
+def test_diagonals_with_exact_zeros(n, seed):
+    ch = build_extremal(with_zero_diagonals(n, seed))
+    assert_paths_agree(ch)
+    h = checked_hermitian(choi(ch))
+    blocks = _hermitian_blocks(h)
+    zero_rows = np.flatnonzero(~h.any(axis=1))
+    singletons = [ix[:, 0] for ix, _ in blocks if ix.shape[1] == 1]
+    assert set(zero_rows.tolist()) <= set(np.concatenate(singletons).tolist())
+    assert np.sum(_block_eigvals(h, blocks) == 0.0) >= zero_rows.size
+
+
+@all_dims
+@PROPERTY
+@given(seed=seeds)
+def test_raw_kraus_set_with_an_all_zero_operator(n, seed):
+    _, ch = sample_extremal(n, seed)
+    padded = KrausChannel(np.concatenate([ch.stack, np.zeros((1, n, n))]))
+    assert_paths_agree(padded)
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, haar_unitary):
+    _, ch = sample_extremal(n, n)
+    rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
+    j = choi(rotated)
+    assert j.imag.any()
+    assert not _splits(_hermitian_blocks(checked_hermitian(j)))
+    w, v = np.linalg.eigh(j)
+    assert np.array_equal(herm_eigvals(j), np.linalg.eigvalsh(j)[::-1])
+    w_out, v_out = herm_eig(j)
+    assert np.array_equal(w_out, w[::-1])
+    assert np.array_equal(v_out, v[:, ::-1])
+    a = products(rotated)
+    assert not _splits(_components(a != 0))
+    assert matrix_rank(a.reshape(-1, n, n)) == dense_rank(a)
+
+
+def test_components_of_a_symmetric_pattern_with_a_zero_row():
+    nz = np.array([
+        [1, 0, 1, 0],
+        [0, 1, 0, 0],
+        [1, 0, 1, 0],
+        [0, 0, 0, 0],
+    ], dtype=bool)
+    np.fill_diagonal(nz, True)
+    groups = _components(nz)
+    assert [(rows.tolist(), cols.tolist()) for rows, cols in groups] == [
+        ([[1], [3]], [[1], [3]]),
+        ([[0, 2]], [[0, 2]]),
+    ]
+
+
+def test_components_of_a_rectangular_pattern_skip_empty_rows_and_columns():
+    nz = np.zeros((3, 5), dtype=bool)
+    nz[0, [1, 3]] = True
+    nz[1, 4] = True
+    nz[2, 3] = True
+    groups = _components(nz)
+    assert [(rows.tolist(), cols.tolist()) for rows, cols in groups] == [
+        ([[1]], [[4]]),
+        ([[0, 2]], [[1, 3]]),
+    ]
+    assert _components(np.zeros((2, 3), dtype=bool)) == []
+
+
+def test_components_join_a_path_numbered_against_its_order():
+    # The path 5 - 0 - 4 - 1 - 3 - 2 needs several passes to settle.
+    nz = np.eye(6, dtype=bool)
+    path = [5, 0, 4, 1, 3, 2]
+    for a, b in zip(path, path[1:]):
+        nz[a, b] = True
+    (rows, cols), = _components(nz)
+    assert rows.tolist() == cols.tolist() == [list(range(6))]
+
+
+def reference_components(nz: np.ndarray) -> set:
+    """Components by breadth-first search: a set of (rows, cols) tuples."""
+    m, p = nz.shape
+    seen, found = set(), set()
+    for start in [("r", i) for i in range(m)] + [("c", j) for j in range(p)]:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = [start], []
+        while queue:
+            side, i = queue.pop()
+            members.append((side, i))
+            line = nz[i] if side == "r" else nz[:, i]
+            for k in np.flatnonzero(line):
+                node = ("c" if side == "r" else "r", int(k))
+                if node not in seen:
+                    seen.add(node)
+                    queue.append(node)
+        rows = tuple(sorted(i for s, i in members if s == "r"))
+        cols = tuple(sorted(i for s, i in members if s == "c"))
+        if rows and cols:
+            found.add((rows, cols))
+    return found
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    p=st.integers(min_value=1, max_value=12),
+    density=st.floats(min_value=0.0, max_value=0.4),
+    seed=seeds,
+)
+def test_components_match_breadth_first_search(m, p, density, seed):
+    nz = np.random.default_rng(seed).random((m, p)) < density
+    groups = _components(nz)
+    got = {
+        (tuple(r), tuple(c))
+        for rows, cols in groups
+        for r, c in zip(rows.tolist(), cols.tolist())
+    }
+    assert got == reference_components(nz)
+    shapes = [(rows.shape[1], cols.shape[1]) for rows, cols in groups]
+    assert len(set(shapes)) == len(shapes)

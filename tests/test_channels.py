@@ -17,7 +17,7 @@ from xchan.channels import (
 )
 from xchan.errors import NotHermitianError, NotPSDError, NotTracePreservingError
 from xchan.extremal import sample_extremal
-from xchan.linalg import ID2, SX
+from xchan.linalg import _BLOCK_MIN_DIM, ID2, SX
 from xchan.states import random_density
 
 
@@ -151,11 +151,22 @@ def test_choi_diagnostics_for_trace_preserving_channels(n, seed):
 @pytest.mark.parametrize("n,seed", [(2, 6), (4, 8), (8, 9)])
 def test_choi_min_eigenvalue_is_the_smallest_eigenvalue(n, seed):
     # A sampled channel's Choi matrix is exactly real, so the real routine
-    # is the one that decomposes it.
+    # is the one that decomposes it: whole below the block crossover, else
+    # block by block, each Kraus operator's support (they are disjoint)
+    # being one block and every index outside them a zero block.
     _, ch = sample_extremal(n, seed)
     j = choi(ch)
     assert not j.imag.any()
-    assert choi_min_eigenvalue(j) == np.min(np.linalg.eigvalsh(j.real))
+    real = j.real
+    if len(real) < _BLOCK_MIN_DIM:
+        expected = np.linalg.eigvalsh(real)
+    else:
+        supports = [np.flatnonzero(c.T) for c in ch.stack]
+        outside = len(real) - sum(map(len, supports))
+        expected = np.concatenate(
+            [np.linalg.eigvalsh(real[np.ix_(s, s)]) for s in supports] + [np.zeros(outside)]
+        )
+    assert choi_min_eigenvalue(j) == np.min(expected)
 
 
 @pytest.mark.parametrize("n,seed", [(2, 6), (4, 8), (8, 9)])

@@ -124,6 +124,31 @@ def test_complete_last_diagonal_rejects_bad_input():
         complete_last_diagonal(np.ones((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "partials,error",
+    [
+        ([[np.nan, 0.0]], ValueError),
+        ([[np.nan, 1.2]], ValueError),
+        ([[np.inf, 0.0]], ValueError),
+        ([[-np.inf, 0.0]], ValueError),
+        ([[-0.1, 0.0]], ValidationError),
+        ([[-2.0, 0.0]], ValidationError),
+        ([[1.5, -0.1]], ValidationError),
+        ([[0.0, 1.2, 1.5], [0.0, 0.1, 0.1]], ColumnOverflowError),
+        ([[0.5, 1e200]], ColumnOverflowError),
+    ],
+)
+def test_complete_last_diagonal_reports_bad_entries_before_overflow(partials, error):
+    # ExtremalParams checks the completed array; a non-finite or negative
+    # entry is still reported ahead of a column overflow, and none of them
+    # raises a RuntimeWarning on the way.
+    with pytest.raises(error) as info:
+        complete_last_diagonal(np.array(partials))
+    assert type(info.value) is error
+    if error is ColumnOverflowError:
+        assert info.value.column == 1
+
+
 def test_build_extremal_drops_zero_operators():
     ch = build_extremal(ExtremalParams(np.array([[1.0, 1.0], [0.0, 0.0]])))
     assert len(ch) == 1

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from xchan.errors import NotHermitianError, NotPSDError
+from xchan.errors import NotHermitianError
 from xchan.linalg import (
     ID2,
     PAULIS,
@@ -17,7 +15,6 @@ from xchan.linalg import (
     herm_residual,
     matrix_rank,
     partial_trace,
-    psd_sqrt,
     real_if_exact,
 )
 
@@ -119,28 +116,6 @@ def test_herm_eigvals_match_herm_eig_and_reject_non_hermitian():
     assert np.allclose(w, herm_eig(h)[0], atol=1e-12)
     with pytest.raises(NotHermitianError):
         herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_psd_sqrt_diagonal_scalar_values():
-    p = np.diag([0.04018791, 0.55976775])
-    s = psd_sqrt(p)
-    assert s[0, 0].real == pytest.approx(math.sqrt(0.04018791), abs=1e-15)
-    assert s[1, 1].real == pytest.approx(math.sqrt(0.55976775), abs=1e-15)
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(8)
-    g = random_complex(rng, 5, 5)
-    p = g @ dagger(g)
-    s = psd_sqrt(p)
-    assert herm_residual(s) == 0.0
-    assert np.allclose(s @ s, p)
-
-
-def test_psd_sqrt_clamps_round_off_but_rejects_real_negatives():
-    assert np.allclose(psd_sqrt(np.diag([1.0, -1e-12])), np.diag([1.0, 0.0]))
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1.0]))
 
 
 def test_matrix_rank_counts_independent_directions():
