@@ -8,10 +8,16 @@ acting on sys (x) |0> is the isometry V = sum_i C_i (x) |i><0|, and
     B(rho) = Tr_env[u (rho (x) |0><0|) u^dag].
 
 The remaining columns of u are free; they are filled with an orthonormal
-basis of the complement of V's range, taken from one complete QR
-factorization of V, so the same channel always yields the same u.  When V
-has no imaginary part the QR and the unitarity check run in real
-arithmetic; u is complex128 either way.
+basis of the complement of V's range, so the same channel always yields
+the same u.  When V's exact zero pattern splits into blocks of rows and
+columns (for ``C_i = U_i D_i`` with permutations ``U_i``, every column of V
+is a block), the basis is completed block by block: each block's complete
+QR factor gives the columns supported on its rows, and every row of V that
+is zero gives a unit column.  A V whose pattern is one block, or with fewer
+than ``linalg._BLOCK_MIN_UNITARY_DIM`` rows, takes one complete QR of the
+whole of V.  ``DilationModel`` checks unitarity along u's pattern in the
+same way.  When V has no imaginary part the QR and the unitarity check run
+in real arithmetic; u is complex128 either way.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .channels import KrausChannel, require_trace_preserving
 from .errors import ValidationError
-from .linalg import as_complex, dagger, real_if_exact
+from .linalg import _complement_basis, _unitarity_residual, as_complex, dagger
 from .states import DensityMatrix
 from .tolerances import TOL_UNITARY
 
@@ -32,7 +38,11 @@ class DilationModel:
     """Unitary u on sys (x) env with a pure initial environment state.
 
     ``unitarity_residual`` is the max-entry residual of u^dag u - I that
-    construction measured against ``TOL_UNITARY``.
+    construction measured against ``TOL_UNITARY``.  From
+    ``linalg._BLOCK_MIN_UNITARY_DIM`` rows up it is taken block by block
+    when u's exact pattern splits: entries of u^dag u between two blocks
+    are exact zeros, and an all-zero column gives 1.0, as in the dense
+    product.
     """
 
     dim_sys: int
@@ -55,9 +65,7 @@ class DilationModel:
                 f"unitary must be {total}x{total} for dims "
                 f"({self.dim_sys}, {self.dim_env}), got {u.shape}"
             )
-        # Contiguous, so that a real r^T r is one symmetric BLAS product.
-        r = np.ascontiguousarray(real_if_exact(u))
-        res = float(np.max(np.abs(dagger(r) @ r - np.eye(total))))
+        res = _unitarity_residual(u)
         if res > TOL_UNITARY:
             raise ValidationError("u is not unitary", residual=res)
         u = u.copy()
@@ -71,9 +79,11 @@ def stinespring(ch: KrausChannel) -> DilationModel:
 
     The environment dimension equals the operator count k.  Column c*k of u
     (the image of basis state |c> (x) |0>) is column c of the isometry
-    V = sum_i C_i (x) |i>, written exactly.  The other N(k-1) columns are
-    the last N(k-1) columns of the complete QR factor of V, which span the
-    orthogonal complement of V's range.
+    V = sum_i C_i (x) |i>, written exactly.  The other N(k-1) columns span
+    the orthogonal complement of V's range: the last N(k-1) columns of the
+    complete QR factor of V, or, when V splits into blocks, the free
+    columns of each block's complete QR factor followed by a unit column
+    for every zero row of V.
 
     Raises
     ------
@@ -86,12 +96,11 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     total = n * k
     # Row r*k + i, column c of V is C_i[r, c].
     isometry = ch.stack.transpose(1, 0, 2).reshape(total, n)
-    q = np.linalg.qr(real_if_exact(isometry), mode="complete")[0]
     u = np.empty((total, total), dtype=complex)
     # Column c*k + e of u is slot [:, c, e] of this view.
     slots = u.reshape(total, n, k)
     slots[:, :, 0] = isometry
-    slots[:, :, 1:] = q[:, n:].reshape(total, n, k - 1)
+    slots[:, :, 1:] = _complement_basis(isometry).reshape(total, n, k - 1)
     return DilationModel(dim_sys=n, dim_env=k, u=u)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import KrausChannel, choi
 from .errors import ColumnOverflowError, SingularComplementError, ValidationError
-from .linalg import ID2, SX, as_complex_stack, dagger, herm_eig
+from .linalg import ID2, SX, as_complex_stack, dagger, herm_eig, real_if_exact
 from .tolerances import TOL_COLUMN_SUM, TOL_PSD, TOL_SINGULAR, TOL_TP
 
 # Entries must stay this far from {0, 1} for the Jacobian: the chain factor
@@ -95,10 +95,9 @@ def canonical_unitaries(n: int) -> list[np.ndarray]:
             np.kron(SX, ID2),
             np.kron(SX, SX),
         ]
-    shift = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        shift[(m + 1) % n, m] = 1.0
-    return [np.linalg.matrix_power(shift, i) for i in range(n)]
+    # S^i e_m = e_{m+i}, so row r of S^i is the unit row e_{(r-i) mod n}.
+    r = np.arange(n)
+    return list(np.eye(n, dtype=complex)[(r[None, :] - r[:, None]) % n])
 
 
 def complete_last_diagonal(partials) -> ExtremalParams:
@@ -189,17 +188,28 @@ def parameter_jacobian_rank(
     equals N^2 - N, the family's parameter count.
 
     ``step=None`` (the default) uses the exact Jacobian in closed form (see
-    ``_exact_jacobian``).  A float ``step`` takes central differences of
-    the Choi matrix with that step instead, an independent check on the
-    closed form; both give the same rank at interior points.
+    ``_exact_jacobian``).  It builds one row per Choi entry (p, q) with
+    p <= q inside the support of J, and only the real part when the
+    unitaries are real (the canonical ones always are): at N=8, 288 rows
+    instead of the 2 N^4 = 8192 of the full real embedding.  The rank is
+    the same, because every row left out is exactly zero (an entry outside
+    the support, or an imaginary part of real rows) or exactly equal, up to
+    sign, to a row that is kept (J is Hermitian, so entry (q, p) is the
+    conjugate of entry (p, q)).  A float ``step`` takes central differences
+    of the full embedding with that step instead, an independent check on
+    the closed form; both give the same rank at interior points.
 
     Raises
     ------
+    ValueError
+        If ``step`` is neither None nor a finite number > 0.
     ValidationError
         If some entry is within INTERIOR_MARGIN of 0 or 1, where the chain
         factor 1/(2 d) blows up and one-sided effects would corrupt the
         differences.
     """
+    if step is not None and not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a finite number > 0, got {step!r}")
     d = params.diagonals
     n = params.n
     if np.any(d <= INTERIOR_MARGIN) or np.any(d >= 1.0 - INTERIOR_MARGIN):
@@ -269,24 +279,28 @@ def _exact_jacobian(d: np.ndarray, unitaries) -> np.ndarray:
     # d_{i,m} = sqrt(s_{i,m}) and the completed row has
     # d_{N,m} = sqrt(1 - sum_{i<N} s_{i,m}),
     # dJ/ds_{i,m} = dJ/dd_{i,m} / (2 d_{i,m}) - dJ/dd_{N,m} / (2 d_{N,m}).
-    # Entries outside the support of J (no w_i nonzero at both indices) have
-    # zero derivative; those all-zero rows do not change the singular
-    # values, so only the at most N^3 support entries are built.
+    # Only the rows that can carry rank are built: entries outside the
+    # support of J (no w_i nonzero at both indices) have zero derivative,
+    # and J is Hermitian, so the row of entry (q, p) is the conjugate of the
+    # row of (p, q).  That leaves the support entries with p <= q.  Real
+    # unitaries give real rows; complex ones are embedded as [re; im].
     n = d.shape[0]
     # cols[i, m*n + r] = U_i[r, m]: a_{i,m} is the m-th length-n block.
-    cols = np.asarray(unitaries).transpose(0, 2, 1).reshape(n, n * n)
+    cols = real_if_exact(np.asarray(unitaries).transpose(0, 2, 1).reshape(n, n * n))
     w = cols * np.repeat(d, n, axis=1)
     mag = np.abs(w)
-    p, q = np.nonzero(mag.T @ mag)
+    p, q = np.nonzero(np.triu(mag.T @ mag))
     rows = np.arange(p.size)[:, None]
     ops = np.arange(n)[None, :]
-    grad = np.zeros((p.size, n, n), dtype=complex)
+    grad = np.zeros((p.size, n, n), dtype=cols.dtype)
     # a_{i,m}[p] is nonzero only for m = p // n.
     grad[rows, ops, (p // n)[:, None]] += (cols[:, p] * w[:, q].conj()).T
     grad[rows, ops, (q // n)[:, None]] += (w[:, p] * cols[:, q].conj()).T
     grad /= 2.0 * d
     jac = (grad[:, :-1, :] - grad[:, -1:, :]).reshape(p.size, -1)
-    return np.concatenate([jac.real, jac.imag])
+    if np.iscomplexobj(jac):
+        return np.concatenate([jac.real, jac.imag])
+    return jac
 
 
 def _difference_jacobian(d: np.ndarray, unitaries, step: float) -> np.ndarray:

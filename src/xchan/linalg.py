@@ -28,7 +28,10 @@ a channel ``C_i = U_i D_i`` with permutation ``U_i`` is such a matrix: its
 N^2 x N^2 pattern is one N x N block per operator.  Inside a degenerate
 eigenspace the eigenvectors may differ from those of one dense ``eigh``.
 A matrix whose pattern is one block, such as a dense Haar-rotated Choi
-matrix, takes the dense call unchanged.
+matrix, takes the dense call unchanged.  From ``_BLOCK_MIN_UNITARY_DIM``
+rows up, ``_complement_basis`` completes an isometry to a unitary with one
+batched complete QR per block shape, and ``_unitarity_residual`` checks a
+unitary with one batched product per block shape.
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ PAULIS = (SX, SY, SZ)
 # channels the block and the dense path break even at a 36 x 36 Choi
 # matrix or product stack (N = 6), and the block path wins from 49 x 49.
 _BLOCK_MIN_DIM = 40
+
+# The same gate for completing an isometry to a unitary and for checking
+# unitarity (``_complement_basis``, ``_unitarity_residual``), on the row
+# count N k.  A dense QR or product of this shape costs less than the
+# pattern search up to a larger size: for sampled channels ``stinespring``
+# breaks even at N k = 121 (N = 11), and the block path wins from 144.
+_BLOCK_MIN_UNITARY_DIM = 128
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -323,6 +333,75 @@ def _block_rank(a: np.ndarray, groups, tol_rank: float) -> int:
         for rows, cols in groups
     ])
     return _count_above(s, tol_rank)
+
+
+def _complement_basis(v: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the complement of an isometry's range.
+
+    ``v`` is an (m, p) matrix with orthonormal columns; returns the (m, m-p)
+    matrix whose columns complete them to an orthonormal basis, real when
+    ``v`` is exactly real.  Dense, these are the last m-p columns of one
+    complete QR factor of ``v``.  On the block path each (a, b) block of
+    ``v`` contributes the last a-b columns of its own complete QR factor,
+    supported on the block's rows, and every row in no block a unit column.
+    """
+    a = real_if_exact(v)
+    m, p = a.shape
+    if m >= _BLOCK_MIN_UNITARY_DIM:
+        groups = _components(a != 0)
+        if _splits(groups):
+            return _block_complement(a, groups)
+    return np.linalg.qr(a, mode="complete")[0][:, p:]
+
+
+def _unitarity_residual(u: np.ndarray) -> float:
+    """Max-entry residual of u^dag u - I for a square matrix ``u``.
+
+    On the block path, the (a, b) blocks of u's exact pattern contribute
+    their own b x b products.  Two columns in different blocks share no
+    row, so their entry of u^dag u is an exact zero, and an all-zero
+    column, in no block, has a diagonal entry 0: a residual of 1.0.
+    """
+    r = real_if_exact(u)
+    if len(r) >= _BLOCK_MIN_UNITARY_DIM:
+        groups = _components(r != 0)
+        if _splits(groups):
+            return _block_unitarity_residual(r, groups)
+    # Contiguous, so that a real r^T r is one symmetric BLAS product.
+    r = np.ascontiguousarray(r)
+    return float(np.max(np.abs(dagger(r) @ r - np.eye(len(r)))))
+
+
+def _block_complement(a: np.ndarray, groups) -> np.ndarray:
+    """``_complement_basis`` of an (m, p) isometry from its ``_components``,
+    one batched complete QR per block shape."""
+    m, p = a.shape
+    out = np.zeros((m, m - p), dtype=a.dtype)
+    start = 0
+    for rows, cols in groups:
+        g, rank = cols.shape
+        q = np.linalg.qr(a[rows[:, :, None], cols[:, None, :]], mode="complete")[0]
+        free = q[:, :, rank:]
+        dest = start + np.arange(free.shape[2] * g).reshape(g, -1)
+        out[rows[:, :, None], dest[:, None, :]] = free
+        start += dest.size
+    # The rows in no block are the zero rows of ``a``.
+    zero = np.flatnonzero(~a.any(axis=1))
+    out[zero, start + np.arange(zero.size)] = 1.0
+    return out
+
+
+def _block_unitarity_residual(r: np.ndarray, groups) -> float:
+    """``_unitarity_residual`` of a square matrix from its ``_components``,
+    one batched product per block shape."""
+    covered = sum(cols.size for _, cols in groups)
+    res = 1.0 if covered < len(r) else 0.0
+    for rows, cols in groups:
+        b = r[rows[:, :, None], cols[:, None, :]]
+        gram = b.conj().transpose(0, 2, 1) @ b
+        gram -= np.eye(cols.shape[1])
+        res = max(res, float(np.abs(gram).max()))
+    return res
 
 
 def _count_above(s: np.ndarray, tol_rank: float) -> int:

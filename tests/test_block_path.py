@@ -1,14 +1,17 @@
-"""The block path of the Hermitian and rank decompositions matches the dense one.
+"""The block path of the decompositions matches the dense one.
 
 From ``linalg._BLOCK_MIN_DIM`` rows and columns up, ``herm_eig``,
 ``herm_eigvals`` and ``matrix_rank`` split a matrix along the connected
-components of its exact nonzero pattern and decompose each block.  These
-tests call the block code directly, so every N from 2 to 16 is covered
-whatever the crossover, and compare it with one dense call on the same
-matrix: sampled channels, padded mixtures whose supports overlap and merge
-blocks, diagonals with exact zeros (zero rows are blocks of their own), a
-raw Kraus set with an all-zero operator, and a Haar-rotated channel, whose
-dense pattern is one block and keeps the dense path bit for bit.
+components of its exact nonzero pattern and decompose each block; from
+``linalg._BLOCK_MIN_UNITARY_DIM`` rows up, so do the unitary completion of
+``stinespring`` and the unitarity check of ``DilationModel``.  These tests
+call the block code directly, or move the crossover to 0, so every N from
+2 to 16 is covered, and compare it with the dense call on the same matrix:
+sampled channels, padded mixtures whose supports overlap and merge blocks,
+diagonals with exact zeros (zero rows are blocks of their own, or unit
+columns of the dilation), a raw Kraus set with an all-zero operator, and a
+Haar-rotated channel, whose dense pattern is one block and keeps the dense
+path bit for bit.
 """
 
 import numpy as np
@@ -18,14 +21,18 @@ from hypothesis import strategies as st
 
 from xchan import linalg
 from xchan.channels import KrausChannel, choi, convex_combine, kraus_from_choi
+from xchan.dilation import DilationModel, stinespring
+from xchan.errors import ValidationError
 from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
 from xchan.linalg import (
+    _BLOCK_MIN_UNITARY_DIM,
     _block_eig,
     _block_eigvals,
     _block_rank,
     _components,
     _hermitian_blocks,
     _splits,
+    _unitarity_residual,
     checked_hermitian,
     herm_eig,
     herm_eigvals,
@@ -154,6 +161,126 @@ def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, haar_unitary
     a = products(rotated)
     assert not _splits(_components(a != 0))
     assert matrix_rank(a.reshape(-1, n, n)) == dense_rank(a)
+
+
+def isometry(ch: KrausChannel) -> np.ndarray:
+    """V with V[r*k + i, c] = C_i[r, c], the columns c*k of the dilation."""
+    return ch.stack.transpose(1, 0, 2).reshape(ch.dim * len(ch), ch.dim)
+
+
+def with_unitary_gate(gate: int, fn, *args):
+    """``fn(*args)`` with the dilation's block crossover moved to ``gate``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_BLOCK_MIN_UNITARY_DIM", gate)
+        return fn(*args)
+
+
+def dense_unitarity_residual(u: np.ndarray) -> float:
+    return with_unitary_gate(10**9, _unitarity_residual, u)
+
+
+def assert_dilation_paths_agree(ch: KrausChannel) -> DilationModel:
+    """The block dilation keeps V exactly, is unitary, and its block
+    residual is the dense one; returns the block model."""
+    model = with_unitary_gate(0, stinespring, ch)
+    u, k = model.u, len(ch)
+    assert np.array_equal(u[:, ::k], isometry(ch))
+    assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-10
+    assert abs(model.unitarity_residual - dense_unitarity_residual(u)) <= 1e-15
+    return model
+
+
+@all_dims
+@PROPERTY
+@given(seed=seeds)
+def test_block_dilation_of_sampled_channels(n, seed):
+    _, ch = sample_extremal(n, seed)
+    # Every operator is a scaled permutation, so each column of V is a block.
+    v = linalg.real_if_exact(isometry(ch))
+    assert sum(len(cols) for _, cols in _components(v != 0)) == n
+    assert_dilation_paths_agree(ch)
+
+
+@all_dims
+@PROPERTY
+@given(seed=seeds)
+def test_block_dilation_fills_zero_rows_with_unit_columns(n, seed):
+    ch = build_extremal(with_zero_diagonals(n, seed))
+    u = assert_dilation_paths_agree(ch).u
+    for r in np.flatnonzero(~isometry(ch).any(axis=1)):
+        (c,) = np.flatnonzero(u[r])
+        assert u[r, c] == 1.0
+        assert np.flatnonzero(u[:, c]).tolist() == [r]
+
+
+@all_dims
+@PROPERTY
+@given(seed=seeds, weight=st.floats(min_value=0.05, max_value=0.95))
+def test_block_dilation_of_padded_mixtures_whose_blocks_merge(n, seed, weight):
+    # A rotation in the (0, 1) plane gives rows with two nonzero entries, so
+    # the mixture's V joins columns that the sampled channel keeps apart.
+    _, ch = sample_extremal(n, seed)
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = np.eye(n)
+    turn[:2, :2] = [[c, -s], [s, c]]
+    moved = KrausChannel(turn @ ch.stack @ turn.T)
+    mixed = convex_combine([ch, moved], [weight, 1.0 - weight])
+    v = linalg.real_if_exact(isometry(mixed))
+    assert max(cols.shape[1] for _, cols in _components(v != 0)) > 1
+    assert_dilation_paths_agree(mixed)
+
+
+def dense_dilation_reference(ch: KrausChannel) -> np.ndarray:
+    """The unitary from one complete QR of V, the dense construction."""
+    n, k = ch.dim, len(ch)
+    v = isometry(ch)
+    q = np.linalg.qr(v, mode="complete")[0]
+    u = np.empty((n * k, n * k), dtype=complex)
+    u.reshape(n * k, n, k)[:, :, 0] = v
+    u.reshape(n * k, n, k)[:, :, 1:] = q[:, n:].reshape(n * k, n, k - 1)
+    return u
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_rotated_channel_dilation_keeps_the_dense_result(n, haar_unitary):
+    _, ch = sample_extremal(n, n)
+    rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
+    assert not _splits(_components(isometry(rotated) != 0))
+    reference = dense_dilation_reference(rotated)
+    for gate in (0, _BLOCK_MIN_UNITARY_DIM):
+        model = with_unitary_gate(gate, stinespring, rotated)
+        assert np.array_equal(model.u, reference)
+        assert model.unitarity_residual == dense_unitarity_residual(reference)
+
+
+def block_unitary(n: int = 12) -> np.ndarray:
+    """A dilation unitary above the crossover whose pattern splits."""
+    _, ch = sample_extremal(n, seed=n)
+    u = np.array(stinespring(ch).u)
+    assert len(u) >= _BLOCK_MIN_UNITARY_DIM and _splits(_components(u != 0))
+    return u
+
+
+def test_a_zero_column_gives_a_unitarity_residual_of_one():
+    u = block_unitary()
+    u[:, 5] = 0.0
+    assert _unitarity_residual(u) == 1.0 == dense_unitarity_residual(u)
+    with pytest.raises(ValidationError) as err:
+        DilationModel(12, 12, u)
+    assert err.value.residual == 1.0
+
+
+@pytest.mark.parametrize("inside_a_block", [True, False])
+def test_a_perturbed_unitary_is_refused_with_the_dense_residual(inside_a_block):
+    u = block_unitary()
+    nonzero = u != 0
+    r, c = np.argwhere(nonzero if inside_a_block else ~nonzero)[7]
+    u[r, c] += 1e-6
+    dense = np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
+    with pytest.raises(ValidationError) as err:
+        DilationModel(12, 12, u)
+    assert abs(err.value.residual - dense) <= 1e-15
+    assert abs(err.value.residual - dense_unitarity_residual(u)) <= 1e-15
 
 
 def test_components_of_a_symmetric_pattern_with_a_zero_row():

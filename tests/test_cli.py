@@ -214,6 +214,14 @@ def test_jacobian_step_selects_finite_differences(capsys):
     assert "jacobian_rank=6 expected=6" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+def test_jacobian_step_that_is_not_finite_and_positive_is_a_usage_error(step, capsys):
+    assert main(["jacobian", "--n", "3", "--seed", "1", f"--step={step}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: step must be a finite number > 0")
+
+
 @pytest.mark.parametrize("flag", ["true", "false"])
 def test_json_booleans_are_usage_errors(tmp_path, channel_file, flag, capsys):
     ch_path, _ = channel_file

@@ -16,6 +16,7 @@ from xchan.errors import (
     ValidationError,
 )
 from xchan.extremal import (
+    JACOBIAN_RANK_TOL,
     ExtremalParams,
     _difference_jacobian,
     _exact_jacobian,
@@ -63,6 +64,19 @@ def test_canonical_unitaries_n5_are_cyclic_shift_powers():
     assert np.array_equal(shift @ e0, np.eye(5)[:, 1])
     for i, u in enumerate(us):
         assert np.allclose(u, np.linalg.matrix_power(shift, i))
+
+
+@pytest.mark.parametrize("n", range(5, 21))
+def test_canonical_unitaries_equal_the_shift_powers_bitwise(n):
+    shift = np.zeros((n, n), dtype=complex)
+    for m in range(n):
+        shift[(m + 1) % n, m] = 1.0
+    us = canonical_unitaries(n)
+    assert isinstance(us, list) and len(us) == n
+    for i, u in enumerate(us):
+        expected = np.linalg.matrix_power(shift, i)
+        assert u.dtype == np.complex128 and u.shape == (n, n)
+        assert u.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -227,14 +241,49 @@ def test_exact_jacobian_matches_differences_entrywise(n):
     unitaries = canonical_unitaries(n)
     exact = _exact_jacobian(d, unitaries)
     diff = _difference_jacobian(d, unitaries, 1e-5)
-    # Scatter the support rows back into the full real embedding.
+    # The canonical unitaries are real, so the exact rows are the real parts
+    # of the support entries (p, q) with p <= q.  Scatter each row to both
+    # (p, q) and (q, p) of the full real embedding; its imaginary half
+    # stays zero.
     mag = np.abs(np.asarray(unitaries)).transpose(0, 2, 1).reshape(n, n * n)
-    p, q = np.nonzero(mag.T @ mag)
+    p, q = np.nonzero(np.triu(mag.T @ mag))
+    assert exact.shape == (p.size, n * n - n)
     full = np.zeros_like(diff)
-    flat = p * n * n + q
-    full[flat] = exact[: p.size]
-    full[n**4 + flat] = exact[p.size :]
+    full[p * n * n + q] = exact
+    full[q * n * n + p] = exact
     assert np.max(np.abs(full - diff)) < 1e-6 * np.max(np.abs(diff))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_exact_jacobian_of_complex_unitaries_matches_differences(n, haar_unitary):
+    # W U_i keeps every U_i^dag U_j, so the family and its rank are the same,
+    # but the rows are complex and the support is dense: the exact Jacobian
+    # stacks the real and the imaginary parts of the entries with p <= q.
+    params = sample_interior(n, seed=80 + n)
+    d = params.diagonals
+    w = haar_unitary(n, n)
+    unitaries = [w @ u for u in canonical_unitaries(n)]
+    exact = _exact_jacobian(d, unitaries)
+    diff = _difference_jacobian(d, unitaries, 1e-5)
+    p, q = np.triu_indices(n * n)
+    assert exact.shape == (2 * p.size, n * n - n)
+    re, im = exact[: p.size], exact[p.size :]
+    full = np.zeros_like(diff)
+    full[p * n * n + q] = re
+    full[q * n * n + p] = re
+    full[n**4 + p * n * n + q] = im
+    full[n**4 + q * n * n + p] = -im
+    assert np.max(np.abs(full - diff)) < 1e-6 * np.max(np.abs(diff))
+    s = np.linalg.svd(exact, compute_uv=False)
+    assert np.sum(s > JACOBIAN_RANK_TOL * s[0]) == n * n - n
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+def test_jacobian_rejects_a_step_that_is_not_finite_and_positive(step):
+    params = sample_interior(3, seed=1)
+    with pytest.raises(ValueError, match="step") as err:
+        parameter_jacobian_rank(params, step=step)
+    assert not isinstance(err.value, ValidationError)
 
 
 def test_jacobian_rejects_boundary_points():
