@@ -43,6 +43,7 @@ from .extremal import (
 )
 from .qubit import NuParams, bloch_affine, channel_from_nu, ellipsoid_samples, predicted_translation
 from .serialize import (
+    _dumps,
     channel_from_doc,
     dump_channel,
     dump_state,
@@ -53,8 +54,9 @@ from .serialize import (
 from .states import random_density
 from .tolerances import TOL_ORTH, TOL_PSD, TOL_TP, TOL_UNITARY
 
-# Largest ``sample --n``: N=64 already takes about 2 s, 150 MB and an
-# 8.5 MB channel document (k = N operators of N x N entries).
+# Largest ``sample --n``: N=64 already takes about 0.8 s, 85 MB and a
+# 2.7 MB channel document (k = N operators of N x N entries; one
+# ``python -m xchan`` process, one BLAS thread, 2-vCPU x86-64 guest).
 MAX_SAMPLE_N = 64
 # Largest ``jacobian --n``: the Jacobian's memory grows as N^5, about
 # 83 MB at N=16 and 181 MB at N=20.
@@ -64,7 +66,8 @@ MAX_JACOBIAN_N = 16
 MAX_BLOCH_COUNT = 10**6
 # Largest N*k that ``dilate`` accepts: the unitary is (N k) x (N k), so time,
 # memory and the document grow as (N k)^2.  N*k = 1024 (a ``sample --n 32``
-# channel) takes about 7 s and 500 MB and writes a 30 MB document.
+# channel) takes about 2.3 s and 250 MB and writes an 11 MB document
+# (measured as for MAX_SAMPLE_N).
 MAX_DILATE_DIM = 1024
 
 
@@ -245,9 +248,14 @@ def _cmd_bloch(args) -> int:
     if args.ellipsoid:
         w_in, w_out = ellipsoid_samples(p, args.count, args.seed)
         with open(args.ellipsoid, "w") as fh:
-            fh.write("x_in,y_in,z_in,x_out,y_out,z_out\n")
-            for wi, wo in zip(w_in, w_out):
-                fh.write(",".join(f"{v:.17g}" for v in (*wi, *wo)) + "\n")
+            np.savetxt(
+                fh,
+                np.hstack([w_in, w_out]),
+                fmt="%.17g",
+                delimiter=",",
+                header="x_in,y_in,z_in,x_out,y_out,z_out",
+                comments="",
+            )
         print(f"wrote {args.count} samples to {args.ellipsoid}")
     return 0
 
@@ -273,7 +281,7 @@ def _cmd_dilate(args) -> int:
         "env_state": model.env_state,
         "unitary": matrix_to_doc(model.u),
     }
-    _emit(json.dumps(doc, indent=1), args.out)
+    _emit(_dumps(doc), args.out)
     report = sys.stdout if args.out else sys.stderr
     tol = _tol_override() or TOL_UNITARY
     print(f"unitarity residual: {unitarity:.3e}", file=report)

@@ -2,9 +2,11 @@
 
 Channel documents: ``{"dim": N, "kraus": [matrix, ...], "metadata": {...}}``
 with each matrix a list of rows and each entry a ``[re, im]`` pair; states
-use ``{"dim": N, "rho": matrix}`` with the same matrix encoding.  Floats are
-emitted with ``repr``-exact decimals, so parse -> serialize -> parse is the
-identity on values.
+use ``{"dim": N, "rho": matrix}`` with the same matrix encoding.  Every
+document is written on one line in the compact layout
+``{"dim":2,"rho":[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]}``, by
+``json``'s C encoder.  Floats are emitted with ``repr``-exact decimals, so
+parse -> serialize -> parse is the identity on values.
 
 Every JSON number passes one test, ``_is_finite_number``; matrices and other
 number tables are decoded by ``numbers_from_doc``.  Schema violations raise
@@ -130,7 +132,9 @@ def parse_channel(text: str, require_tp: bool = True) -> KrausChannel:
 
 
 def dump_channel(ch: KrausChannel, metadata: dict | None = None) -> str:
-    return json.dumps(channel_to_doc(ch, metadata), indent=1)
+    """The channel document of ``ch`` as compact JSON text; ``metadata``, if
+    given and non-empty, is stored under ``"metadata"``."""
+    return _dumps(channel_to_doc(ch, metadata))
 
 
 def parse_state(text: str) -> DensityMatrix:
@@ -138,7 +142,15 @@ def parse_state(text: str) -> DensityMatrix:
 
 
 def dump_state(rho: DensityMatrix) -> str:
-    return json.dumps(state_to_doc(rho), indent=1)
+    """The state document of ``rho`` as compact JSON text."""
+    return _dumps(state_to_doc(rho))
+
+
+def _dumps(doc: dict) -> str:
+    """The one JSON layout of every document: compact, one line.  Without
+    ``indent`` the ``json`` C encoder runs, several times faster than the
+    pure-Python one that ``indent`` selects."""
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def _read_dim(doc: dict) -> int:

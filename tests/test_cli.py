@@ -8,10 +8,17 @@ import pytest
 from xchan.channels import KrausChannel, apply, choi, convex_combine
 from xchan import cli
 from xchan.cli import MAX_BLOCH_COUNT, MAX_DILATE_DIM, MAX_JACOBIAN_N, MAX_SAMPLE_N, main
+from xchan.dilation import stinespring
 from xchan.extremal import sample_extremal
 from xchan.linalg import ID2, SX
-from xchan.qubit import NuParams, channel_from_nu
-from xchan.serialize import dump_channel, dump_state, parse_channel, parse_state
+from xchan.qubit import NuParams, channel_from_nu, ellipsoid_samples
+from xchan.serialize import (
+    dump_channel,
+    dump_state,
+    matrix_from_doc,
+    parse_channel,
+    parse_state,
+)
 from xchan.states import random_density
 
 
@@ -174,6 +181,59 @@ def test_bloch_ellipsoid_csv(tmp_path, capsys):
     row = [float(v) for v in lines[1].split(",")]
     assert len(row) == 6
     assert np.linalg.norm(row[:3]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bloch_ellipsoid_csv_bytes_match_the_row_by_row_reference(tmp_path, capsys):
+    csv_path = tmp_path / "ellipsoid.csv"
+    args = [
+        "bloch", "--nu1", "0.7", "--nu2", "0.3",
+        "--ellipsoid", str(csv_path), "--count", "40", "--seed", "5",
+    ]
+    assert main(args) == 0
+    w_in, w_out = ellipsoid_samples(NuParams(0.7, 0.3), 40, 5)
+    reference = "x_in,y_in,z_in,x_out,y_out,z_out\n" + "".join(
+        ",".join(f"{v:.17g}" for v in (*wi, *wo)) + "\n"
+        for wi, wo in zip(w_in, w_out)
+    )
+    text = csv_path.read_text()
+    assert text == reference
+    fields = np.array(
+        [[float(v) for v in row.split(",")] for row in text.splitlines()[1:]]
+    )
+    expected = np.hstack([w_in, w_out])
+    assert np.array_equal(fields, expected)
+    assert np.array_equal(np.signbit(fields), np.signbit(expected))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+def test_dilate_document_holds_the_exact_unitary(tmp_path, n, capsys):
+    _, ch = sample_extremal(n, seed=n + 20)
+    ch_path = tmp_path / "channel.json"
+    ch_path.write_text(dump_channel(ch))
+    out_file = tmp_path / "dilation.json"
+    assert main(["dilate", str(ch_path), "--out", str(out_file)]) == 0
+    doc = json.loads(out_file.read_text())
+    u = matrix_from_doc(doc["unitary"], "unitary")
+    expected = stinespring(ch).u
+    assert np.array_equal(u, expected)
+    assert np.array_equal(np.signbit(u.real), np.signbit(expected.real))
+    assert np.array_equal(np.signbit(u.imag), np.signbit(expected.imag))
+
+
+def _compact(text: str) -> str:
+    return json.dumps(json.loads(text), separators=(",", ":"))
+
+
+def test_every_document_is_written_in_the_compact_layout(tmp_path, channel_file, capsys):
+    ch_path, ch = channel_file
+    text = dump_channel(ch, {"n": 3})
+    assert text == _compact(text)
+    text = dump_state(random_density(3, 1))
+    assert text == _compact(text)
+    out_file = tmp_path / "dilation.json"
+    assert main(["dilate", str(ch_path), "--out", str(out_file)]) == 0
+    text = out_file.read_text()
+    assert text == _compact(text) + "\n"
 
 
 def test_dilate_report_and_document(tmp_path, channel_file, capsys):
