@@ -6,12 +6,13 @@ may hold operator sets that violate it (useful for diagnostics), but
 ``apply`` refuses to run them.
 
 The operators are held as one read-only ``(k, N, N)`` complex array,
-``KrausChannel.stack``, validated once at construction.  Every operation
-here is one or two batched numpy calls on that array: the completeness and
-unitality sums are single matrix products of its ``(k N, N)`` and
-``(N, k N)`` reshapes, trace orthogonality reads the Gram matrix of the
-flattened operators, and the Choi matrix is one product of the column-major
-vec stack.
+``KrausChannel.stack``, validated once at construction; its completeness
+residual is measured once per channel, on first use, and every check and
+gate of trace preservation reads that value.  Every operation here is one
+or two batched numpy calls on that array: the completeness and unitality
+sums are single matrix products of its ``(k N, N)`` and ``(N, k N)``
+reshapes, trace orthogonality reads the Gram matrix of the flattened
+operators, and the Choi matrix is one product of the column-major vec stack.
 
 Choi convention: ``J = sum_{k,l} E_kl (x) B(E_kl)`` with matrix units E_kl,
 unnormalized (trace N), so trace preservation reads "partial trace of J over
@@ -22,12 +23,14 @@ completely positive, and its rank is the minimal Kraus count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NotPSDError, NotTracePreservingError
 from .linalg import (
+    _rank,
     as_complex,
     as_complex_stack,
     herm_eig,
@@ -40,7 +43,7 @@ from .states import DensityMatrix
 from .tolerances import TOL_ORTH, TOL_PSD, TOL_RANK, TOL_TP, TOL_WEIGHT_SUM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Ordered set of same-dimension square Kraus operators.
 
@@ -49,11 +52,11 @@ class KrausChannel:
     one, that all are square of one shape and that every entry is finite.
     ``kraus`` is the tuple of the k read-only views ``stack[i]``; the input
     may be any sequence of matrices or a ``(k, N, N)`` array, and later
-    changes to it do not reach the channel.
+    changes to it do not reach the channel.  Equality is identity.
     """
 
     kraus: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         stack = as_complex_stack(self.kraus)
@@ -73,6 +76,14 @@ class KrausChannel:
     def __len__(self) -> int:
         return self.stack.shape[0]
 
+    @cached_property
+    def _tp_residual(self) -> float:
+        """max|sum_i C_i^dag C_i - I|, measured once: ``stack`` is read-only."""
+        # Rows i*N + r of A hold C_i[r, :], so A^dag A = sum_i C_i^dag C_i.
+        a = self.stack.reshape(-1, self.dim)
+        acc = a.conj().T @ a
+        return float(np.max(np.abs(acc - np.eye(self.dim))))
+
 
 class CheckResult(NamedTuple):
     ok: bool
@@ -87,10 +98,7 @@ class ExtremalityResult(NamedTuple):
 
 def check_trace_preserving(ch: KrausChannel, tol: float = TOL_TP) -> CheckResult:
     """Max-entry residual of sum_i C_i^dag C_i - I, and whether it passes."""
-    # Rows i*N + r of A hold C_i[r, :], so A^dag A = sum_i C_i^dag C_i.
-    a = ch.stack.reshape(-1, ch.dim)
-    acc = a.conj().T @ a
-    residual = float(np.max(np.abs(acc - np.eye(ch.dim))))
+    residual = ch._tp_residual
     return CheckResult(residual <= tol, residual)
 
 
@@ -137,7 +145,11 @@ def check_extremal(
     stack = real_if_exact(ch.stack)
     # products[i*k + j] = C_i^dag C_j.
     products = stack.conj().transpose(0, 2, 1)[:, None] @ stack[None]
-    rank = matrix_rank(products.reshape(-1, ch.dim, ch.dim), tol_rank)
+    # Past the gate Cauchy-Schwarz bounds each product entry by N (1 +
+    # residual): finite, so matrix_rank's input gate is skipped unless a
+    # tolerance near double range let the residual through.
+    rank_of = _rank if ch._tp_residual <= 1e300 else matrix_rank
+    rank = rank_of(products.reshape(-1, ch.dim, ch.dim), tol_rank)
     expected = len(ch) ** 2
     return ExtremalityResult(rank == expected, rank, expected)
 
@@ -178,7 +190,7 @@ def choi_output_trace(j: np.ndarray) -> np.ndarray:
     Equals I_N exactly when the underlying map is trace preserving.
     """
     n = _choi_dim(j)
-    return partial_trace(j, n, n, over="env")
+    return partial_trace(j, n, n)
 
 
 def choi_min_eigenvalue(j: np.ndarray) -> float:

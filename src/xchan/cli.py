@@ -44,11 +44,11 @@ from .extremal import (
 from .qubit import NuParams, bloch_affine, channel_from_nu, ellipsoid_samples, predicted_translation
 from .serialize import (
     _dumps,
-    channel_from_doc,
     dump_channel,
     dump_state,
     matrix_to_doc,
     numbers_from_doc,
+    parse_channel,
     parse_state,
 )
 from .states import random_density
@@ -187,13 +187,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ch = channel_from_doc(
-        json.loads(Path(args.channel).read_text()), require_tp=False
-    )
-    override = _tol_override()
-    tol_tp = override or TOL_TP
-    tol_orth = override or TOL_ORTH
-    tol_psd = override or TOL_PSD
+    ch = parse_channel(Path(args.channel).read_text(), require_tp=False)
+    tol_tp = _tol(TOL_TP)
+    tol_orth = _tol(TOL_ORTH)
+    tol_psd = _tol(TOL_PSD)
 
     tp = check_trace_preserving(ch, tol_tp)
     orth = check_trace_orthogonal(ch, tol_orth)
@@ -222,7 +219,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    ch = channel_from_doc(json.loads(Path(args.channel).read_text()))
+    ch = parse_channel(Path(args.channel).read_text())
     rho = parse_state(Path(args.state).read_text())
     out = apply(ch, rho)
     _emit(dump_state(out), args.out)
@@ -261,7 +258,7 @@ def _cmd_bloch(args) -> int:
 
 
 def _cmd_dilate(args) -> int:
-    ch = channel_from_doc(json.loads(Path(args.channel).read_text()))
+    ch = parse_channel(Path(args.channel).read_text())
     total = ch.dim * len(ch)
     if total > MAX_DILATE_DIM:
         raise ValueError(
@@ -283,7 +280,7 @@ def _cmd_dilate(args) -> int:
     }
     _emit(_dumps(doc), args.out)
     report = sys.stdout if args.out else sys.stderr
-    tol = _tol_override() or TOL_UNITARY
+    tol = _tol(TOL_UNITARY)
     print(f"unitarity residual: {unitarity:.3e}", file=report)
     print(f"roundtrip residual: {roundtrip:.3e}", file=report)
     ok = unitarity <= tol and roundtrip <= tol
@@ -327,10 +324,11 @@ def _capped_int(cap: int):
     return parse
 
 
-def _tol_override() -> float | None:
+def _tol(default: float) -> float:
+    """The tolerance XCHAN_TOL sets, or ``default`` when it is unset or empty."""
     raw = os.environ.get("XCHAN_TOL")
-    if raw is None or raw == "":
-        return None
+    if not raw:
+        return default
     try:
         value = float(raw)
     except ValueError:

@@ -33,7 +33,7 @@ from .states import DensityMatrix
 from .tolerances import TOL_UNITARY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilationModel:
     """Unitary u on sys (x) env with a pure initial environment state.
 
@@ -49,7 +49,7 @@ class DilationModel:
     dim_env: int
     u: np.ndarray
     env_state: int = 0
-    unitarity_residual: float = field(init=False, repr=False, compare=False)
+    unitarity_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim_sys < 1 or self.dim_env < 1:

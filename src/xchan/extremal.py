@@ -23,19 +23,12 @@ import numpy as np
 from .channels import KrausChannel, choi
 from .errors import ColumnOverflowError, SingularComplementError, ValidationError
 from .linalg import ID2, SX, as_complex_stack, dagger, herm_eig, real_if_exact
-from .tolerances import TOL_COLUMN_SUM, TOL_PSD, TOL_SINGULAR, TOL_TP
-
-# Entries must stay this far from {0, 1} for the Jacobian: the chain factor
-# 1/(2 d) grows near 0, and differences turn one-sided near either end.
-INTERIOR_MARGIN = 1e-3
-
-# Relative singular-value cutoff for the Jacobian rank.  The exact Jacobian
-# is accurate to round-off; central differences at step 1e-5 leave noise
-# around 1e-9 of scale.  Both sit far below this.
-JACOBIAN_RANK_TOL = 1e-6
+from .tolerances import (
+    INTERIOR_MARGIN, JACOBIAN_RANK_TOL, TOL_COLUMN_SUM, TOL_PSD, TOL_SINGULAR, TOL_TP
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtremalParams:
     """N non-negative diagonals, squared entries summing to 1 per column.
 

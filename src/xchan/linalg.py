@@ -9,7 +9,8 @@ output is deterministic.
 Matrix input is checked by one gate per kind: ``as_complex`` (a finite 2-D
 matrix), ``as_complex_stack`` (a non-empty set of same-shape finite
 matrices) and ``checked_hermitian`` (a finite square matrix, Hermitian
-within tolerance).  Other modules call these rather than repeat the checks.
+within tolerance).  Other modules call these rather than repeat them, and
+an array the package built is not gated again (``_rank``).
 
 A decomposition whose input has an imaginary part that is exactly zero
 everywhere runs in real arithmetic (``real_if_exact``): the real and the
@@ -36,7 +37,7 @@ unitary with one batched product per block shape.
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,25 +124,12 @@ def herm_residual(m: np.ndarray) -> float:
     return float((np.abs(d, out=d) if np.isrealobj(d) else np.abs(d)).max())
 
 
-def partial_trace(
-    m: np.ndarray,
-    dim_sys: int,
-    dim_env: int,
-    over: Literal["sys", "env"] = "env",
-) -> np.ndarray:
-    """Trace out one tensor factor of a (dim_sys*dim_env)-dimensional matrix.
+def partial_trace(m: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:
+    """Trace out the environment factor of a (dim_sys*dim_env)-dimensional
+    matrix; the result is dim_sys x dim_sys.
 
     The composite ordering is system-first: index ``(s, e) -> s*dim_env + e``,
     matching ``np.kron(system_op, env_op)``.
-
-    Parameters
-    ----------
-    m : np.ndarray
-        Square matrix of dimension dim_sys * dim_env.
-    dim_sys, dim_env : int
-        Factor dimensions.
-    over : "sys" | "env"
-        Which factor to trace out; the result lives on the other one.
     """
     m = as_complex(m)
     dim = dim_sys * dim_env
@@ -149,15 +137,10 @@ def partial_trace(
         raise ValueError(
             f"matrix shape {m.shape} does not match dim_sys*dim_env = {dim}"
         )
-    blocks = m.reshape(dim_sys, dim_env, dim_sys, dim_env)
-    if over == "env":
-        return np.einsum("iaja->ij", blocks)
-    if over == "sys":
-        return np.einsum("aiaj->ij", blocks)
-    raise ValueError(f"over must be 'sys' or 'env', got {over!r}")
+    return np.einsum("iaja->ij", m.reshape(dim_sys, dim_env, dim_sys, dim_env))
 
 
-def herm_eig(h: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as complex128
@@ -166,9 +149,9 @@ def herm_eig(h: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarr
     Raises
     ------
     NotHermitianError
-        If the input deviates from Hermiticity by more than ``tol``.
+        If the input deviates from Hermiticity by more than ``TOL_HERM``.
     """
-    h = checked_hermitian(h, tol)
+    h = checked_hermitian(h)
     if len(h) >= _BLOCK_MIN_DIM:
         blocks = _hermitian_blocks(h)
         if _splits(blocks):
@@ -177,15 +160,15 @@ def herm_eig(h: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarr
     return w[::-1].copy(), v[:, ::-1].astype(complex)
 
 
-def herm_eigvals(h: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def herm_eigvals(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, descending, without eigenvectors.
 
     Raises
     ------
     NotHermitianError
-        If the input deviates from Hermiticity by more than ``tol``.
+        If the input deviates from Hermiticity by more than ``TOL_HERM``.
     """
-    h = checked_hermitian(h, tol)
+    h = checked_hermitian(h)
     if len(h) >= _BLOCK_MIN_DIM:
         blocks = _hermitian_blocks(h)
         if _splits(blocks):
@@ -199,16 +182,10 @@ def matrix_rank(mats: Sequence[np.ndarray] | np.ndarray, tol_rank: float = TOL_R
     ``mats`` is a sequence of matrices or an (m, r, c) array.  Counts
     singular values above ``tol_rank`` times the largest one.
     """
-    stack = as_complex_stack(mats)
-    a = real_if_exact(stack.reshape(len(stack), -1))
-    if min(a.shape) >= _BLOCK_MIN_DIM:
-        groups = _components(a != 0)
-        if _splits(groups):
-            return _block_rank(a, groups, tol_rank)
-    return _count_above(np.linalg.svd(a, compute_uv=False), tol_rank)
+    return _rank(as_complex_stack(mats), tol_rank)
 
 
-def checked_hermitian(h, tol: float = TOL_HERM) -> np.ndarray:
+def checked_hermitian(h) -> np.ndarray:
     """``h`` after the finite, square and Hermiticity checks.
 
     Returns ``h`` as complex128, or its real view when ``h`` is exactly
@@ -217,15 +194,26 @@ def checked_hermitian(h, tol: float = TOL_HERM) -> np.ndarray:
     Raises
     ------
     NotHermitianError
-        If ``h`` deviates from Hermiticity by more than ``tol``.
+        If ``h`` deviates from Hermiticity by more than ``TOL_HERM``.
     """
     h = real_if_exact(as_complex(h))
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     res = herm_residual(h)
-    if res > tol:
+    if res > TOL_HERM:
         raise NotHermitianError("matrix is not Hermitian", residual=res)
     return h
+
+
+def _rank(stack: np.ndarray, tol_rank: float) -> int:
+    """``matrix_rank`` of a finite (m, r, c) real or complex array, without
+    the input gate: for arrays the package built itself."""
+    a = real_if_exact(stack.reshape(len(stack), -1))
+    if min(a.shape) >= _BLOCK_MIN_DIM:
+        groups = _components(a != 0)
+        if _splits(groups):
+            return _block_rank(a, groups, tol_rank)
+    return _count_above(np.linalg.svd(a, compute_uv=False), tol_rank)
 
 
 def _components(nz: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -62,7 +62,7 @@ class NuParams:
         return self.nu1 * self.nu2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochAffine:
     """Affine action w -> t_lin @ w + t_vec on Bloch vectors."""
 

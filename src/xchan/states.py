@@ -15,26 +15,25 @@ from .linalg import PAULIS, checked_hermitian, dagger
 from .tolerances import TOL_BLOCH_NORM, TOL_PSD, TOL_TRACE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace state.  Invariants are checked on creation,
-    in that order; ``mat`` is a read-only complex128 copy of the input."""
+    in that order, on ``mat``: a read-only complex128 copy of the input,
+    made once.  Equality is identity."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m = checked_hermitian(self.mat)
-        tr = abs(complex(np.trace(m)) - 1.0)
+        m = np.array(self.mat, dtype=complex)
+        h = checked_hermitian(m)
+        tr = abs(complex(np.trace(h)) - 1.0)
         if tr > TOL_TRACE:
             raise NotUnitTraceError("state trace is not 1", residual=tr)
-        low = float(np.linalg.eigvalsh(m).min())
+        low = float(np.linalg.eigvalsh(h).min())
         if low < -TOL_PSD:
             raise NotPSDError(
                 "state has a negative eigenvalue", residual=low
             )
-        # A copy of the input itself: the gate may return a real view,
-        # which would drop the sign of a -0.0 imaginary part.
-        m = np.array(self.mat, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

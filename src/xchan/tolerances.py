@@ -1,4 +1,4 @@
-"""Default numerical tolerances used across the package.
+"""Every numerical tolerance of the package, the Jacobian ones included.
 
 All matrices here are small (N <= 16) and double precision, which leaves
 several digits of headroom above these thresholds.  Each entry says whether
@@ -49,3 +49,12 @@ TOL_COLUMN_SUM = 1e-10
 # eigenvalue exceeds this: an absolute floor on an eigenvalue in [0, 1],
 # which bounds the norm of (I - A_drop)^(-1/2) by 1e4.  Fixed in N.
 TOL_SINGULAR = 1e-8
+
+# Jacobian entries must stay this far from {0, 1}: the chain factor 1/(2 d)
+# grows near 0, and differences turn one-sided near either end.  Absolute.
+INTERIOR_MARGIN = 1e-3
+
+# Jacobian rank: relative singular-value cutoff.  The exact Jacobian is
+# accurate to round-off; central differences at step 1e-5 leave noise
+# around 1e-9 of scale.  Both sit far below this.
+JACOBIAN_RANK_TOL = 1e-6

@@ -59,37 +59,24 @@ def test_partial_trace_matches_index_loop(dim_sys, dim_env, seed):
     m = random_complex(rng, dim, dim)
 
     env = np.zeros((dim_sys, dim_sys), dtype=complex)
-    sys_ = np.zeros((dim_env, dim_env), dtype=complex)
     for i in range(dim_sys):
         for j in range(dim_sys):
             for a in range(dim_env):
                 env[i, j] += m[i * dim_env + a, j * dim_env + a]
-    for a in range(dim_env):
-        for b in range(dim_env):
-            for i in range(dim_sys):
-                sys_[a, b] += m[i * dim_env + a, i * dim_env + b]
 
-    assert np.allclose(partial_trace(m, dim_sys, dim_env, over="env"), env)
-    assert np.allclose(partial_trace(m, dim_sys, dim_env, over="sys"), sys_)
+    assert np.allclose(partial_trace(m, dim_sys, dim_env), env)
 
 
 def test_partial_trace_of_product_factors():
     rng = np.random.default_rng(5)
     a = random_complex(rng, 3, 3)
     b = random_complex(rng, 2, 2)
-    assert np.allclose(
-        partial_trace(np.kron(a, b), 3, 2, over="env"), a * np.trace(b)
-    )
-    assert np.allclose(
-        partial_trace(np.kron(a, b), 3, 2, over="sys"), b * np.trace(a)
-    )
+    assert np.allclose(partial_trace(np.kron(a, b), 3, 2), a * np.trace(b))
 
 
-def test_partial_trace_rejects_bad_shapes_and_axis():
+def test_partial_trace_rejects_bad_shapes():
     with pytest.raises(ValueError):
         partial_trace(np.eye(5), 2, 2)
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), 2, 2, over="both")
 
 
 def test_herm_eig_descending_and_reconstructs():
