@@ -1,4 +1,4 @@
-"""Qubit extremal channels and their Bloch-ball geometry.
+"""The qubit (nu1, nu2) channel family and its Bloch-ball geometry.
 
 A two-parameter family: axis multipliers 0 < nu1, nu2 <= 1 fix the third as
 nu3 = nu1 * nu2, and the channel maps the Bloch ball onto an ellipsoid with
@@ -25,6 +25,14 @@ nu3) for every parameter pair, U switches to sigma_y when nu1 < nu2, which
 swaps the roles of the x and y axes; it is the same channel up to the axis
 relabeling the construction leaves free.  With a >= b the translation
 points along +z.
+
+Every pair in the domain gives a channel, but not always an extremal one.
+The channel is extremal when both multipliers are below 1, or when both
+equal 1 (the identity channel).  On the edges where exactly one equals 1
+it is a mixture of the identity and one Pauli conjugation, only a limit
+of extremal channels: (nu1, nu2) = (1, 0.5) gives
+rho -> 3/4 rho + 1/4 sigma_x rho sigma_x, and ``check_extremal`` finds
+Gram rank 2 of 4.
 """
 
 from __future__ import annotations
@@ -106,7 +114,12 @@ def nu_to_diagonals(p: NuParams) -> tuple[float, float]:
 
 
 def channel_from_nu(p: NuParams) -> KrausChannel:
-    """Extremal qubit channel with Bloch multipliers (nu1, nu2, nu1*nu2)."""
+    """Qubit channel with Bloch multipliers (nu1, nu2, nu1*nu2).
+
+    It is extremal when nu1, nu2 < 1 or nu1 = nu2 = 1; with exactly one of
+    them equal to 1 it is a mixture of two unitary channels (see the
+    module docstring).
+    """
     a, b = nu_to_diagonals(p)
     # sqrt(1 - a^2) cancels catastrophically as a -> 1 (nu1 -> nu2).  With
     # root = sqrt((1 - nu1^2)(1 - nu2^2)) and s = (1 - nu3) + root, the

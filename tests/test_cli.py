@@ -126,6 +126,26 @@ def test_build_rejects_out_of_range_nu(capsys):
     assert main(["build", "--nu1", "1.5", "--nu2", "0.5"]) == 1
 
 
+@pytest.mark.parametrize(
+    "nu1, nu2, check_code",
+    [("1", "0.5", 1), ("1", "1", 0), ("0.8", "0.5", 0)],
+)
+def test_qubit_family_is_extremal_off_the_single_unit_edges(
+    tmp_path, nu1, nu2, check_code, capsys
+):
+    # With exactly one multiplier at 1 the channel is a mixture of two
+    # unitary channels: it builds, and check refuses it as not extremal.
+    path = tmp_path / "qubit.json"
+    assert main(["build", "--nu1", nu1, "--nu2", nu2, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(path)]) == check_code
+    out = capsys.readouterr().out
+    if check_code:
+        assert "extremal: no gram_rank=2 expected=4" in out
+    else:
+        assert "extremal: yes" in out
+
+
 def test_sample_then_check_round_trip(tmp_path, capsys):
     out_file = tmp_path / "sampled.json"
     assert main(["sample", "--n", "4", "--seed", "11", "--out", str(out_file)]) == 0

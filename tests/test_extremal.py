@@ -18,6 +18,7 @@ from xchan.errors import (
 from xchan.extremal import (
     JACOBIAN_RANK_TOL,
     ExtremalParams,
+    _block_arrow_reduction,
     _difference_jacobian,
     _exact_jacobian,
     build_extremal,
@@ -77,6 +78,45 @@ def test_canonical_unitaries_equal_the_shift_powers_bitwise(n):
         expected = np.linalg.matrix_power(shift, i)
         assert u.dtype == np.complex128 and u.shape == (n, n)
         assert u.tobytes() == expected.tobytes()
+
+
+def test_canonical_unitaries_equal_the_kron_construction_bitwise():
+    expected = {
+        2: [ID2, SX],
+        3: [
+            np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex),
+            np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex),
+            np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex),
+        ],
+        4: [
+            np.eye(4, dtype=complex),
+            np.kron(ID2, SX),
+            np.kron(SX, ID2),
+            np.kron(SX, SX),
+        ],
+    }
+    for n, mats in expected.items():
+        us = canonical_unitaries(n)
+        assert isinstance(us, list) and len(us) == n
+        for u, e in zip(us, mats):
+            assert u.dtype == e.dtype and u.shape == e.shape
+            assert u.tobytes() == e.tobytes()
+
+
+def test_canonical_unitaries_are_fresh_arrays():
+    first, second = canonical_unitaries(4), canonical_unitaries(4)
+    first[0][0, 0] = 5.0
+    assert second[0][0, 0] == 1.0
+    assert canonical_unitaries(4)[0][0, 0] == 1.0
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_canonical_unitaries_partition_the_positions(n):
+    # The block-arrow Jacobian rests on this: every position (r, c) holds an
+    # exact 1 in one U_i and an exact 0 in every other.
+    us = np.asarray(canonical_unitaries(n))
+    assert np.all((us == 0) | (us == 1))
+    assert np.array_equal((us == 1).sum(axis=0), np.ones((n, n), dtype=int))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -219,7 +259,7 @@ def test_choi_rank_is_the_operator_count(n):
     assert rank == len(ch) <= n
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, *range(11, 17)])
 def test_jacobian_rank_equals_free_parameter_count(n):
     params = sample_interior(n, seed=60 + n)
     assert parameter_jacobian_rank(params) == n * n - n
@@ -276,6 +316,22 @@ def test_exact_jacobian_of_complex_unitaries_matches_differences(n, haar_unitary
     assert np.max(np.abs(full - diff)) < 1e-6 * np.max(np.abs(diff))
     s = np.linalg.svd(exact, compute_uv=False)
     assert np.sum(s > JACOBIAN_RANK_TOL * s[0]) == n * n - n
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_block_arrow_reduction_keeps_the_exact_singular_values(n):
+    for seed in range(3):
+        d = sample_interior(n, seed=500 + seed).diagonals
+        reduced = _block_arrow_reduction(d)
+        assert reduced.shape == (n * n, n * n - n)
+        s = np.linalg.svd(reduced, compute_uv=False)
+        exact = np.linalg.svd(
+            _exact_jacobian(d, canonical_unitaries(n)), compute_uv=False
+        )
+        assert s.size == exact.size
+        assert np.max(np.abs(s - exact)) <= 1e-12 * exact[0]
+        cut = JACOBIAN_RANK_TOL
+        assert np.sum(s > cut * s[0]) == np.sum(exact > cut * exact[0])
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf, -math.inf])
