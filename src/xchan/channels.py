@@ -30,10 +30,12 @@ import numpy as np
 
 from .errors import NotPSDError, NotTracePreservingError
 from .linalg import (
+    _frozen,
+    _herm_eig,
     _rank,
+    _trusted,
     as_complex,
     as_complex_stack,
-    herm_eig,
     herm_eigvals,
     matrix_rank,
     partial_trace,
@@ -64,8 +66,11 @@ class KrausChannel:
             raise ValueError(
                 f"Kraus operators must be square matrices, got stack shape {stack.shape}"
             )
-        stack = stack.copy()
-        stack.setflags(write=False)
+        if stack.shape[1] == 0:
+            raise ValueError(
+                f"Kraus operators must have at least one row, got stack shape {stack.shape}"
+            )
+        stack = _frozen(stack.copy())
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
 
@@ -195,26 +200,37 @@ def choi_output_trace(j: np.ndarray) -> np.ndarray:
 
 def choi_min_eigenvalue(j: np.ndarray) -> float:
     """Smallest eigenvalue of a Choi matrix; >= -TOL_PSD iff the map is CP."""
-    return float(herm_eigvals(j)[-1])
+    w = herm_eigvals(j)
+    if not w.size:
+        raise ValueError(f"Choi matrix must be N^2 x N^2 with N >= 1, got shape {np.shape(j)}")
+    return float(w[-1])
 
 
 def kraus_from_choi(j: np.ndarray, tol_rank: float = TOL_RANK) -> KrausChannel:
     """Canonical Kraus operators from a PSD Choi matrix.
 
     One operator per eigenvalue above ``tol_rank``; the eigenbasis makes the
-    returned operators pairwise trace orthogonal.
+    returned operators pairwise trace orthogonal.  Only the eigenvectors of
+    those eigenvalues are formed: on the block path of ``linalg`` a sampled
+    N=16 channel keeps 16 columns of 256.
     """
     n = _choi_dim(j)
-    w, v = herm_eig(j)
+    w, v = _herm_eig(j, above=tol_rank)
     low = float(w.min())
     if low < -TOL_PSD:
         raise NotPSDError("Choi matrix is not PSD", residual=low)
-    keep = w > tol_rank
-    if not np.any(keep):
+    kept = v.shape[1]
+    if not kept:
         raise ValueError("Choi matrix has no eigenvalue above tol_rank")
     # Column m of v is vec(C_m) / sqrt(w_m); un-vec each in column-major order.
-    vecs = (v[:, keep] * np.sqrt(w[keep])).T
-    return KrausChannel(vecs.reshape(-1, n, n).transpose(0, 2, 1))
+    vecs = (v * np.sqrt(w[:kept])).T
+    stack = vecs.reshape(-1, n, n).transpose(0, 2, 1)
+    if w[kept - 1] < 0:
+        # A negative tol_rank kept a negative eigenvalue: its operator is
+        # NaN, and the gate refuses it.
+        return KrausChannel(stack)
+    # Square and finite: each kept eigenvalue is >= 0 and v is unitary.
+    return _trusted_channel(stack)
 
 
 def convex_combine(
@@ -242,11 +258,19 @@ def convex_combine(
     )
 
 
+def _trusted_channel(stack: np.ndarray) -> KrausChannel:
+    """``KrausChannel(stack)`` without the gate, for a non-empty (k, N, N)
+    complex128 stack of finite square matrices that the package built;
+    contiguous and frozen in place."""
+    stack = _frozen(np.ascontiguousarray(stack))
+    return _trusted(KrausChannel, kraus=tuple(stack), stack=stack)
+
+
 def _choi_dim(j: np.ndarray) -> int:
     # Shape only: the decomposition or partial trace that follows coerces j
     # and checks its entries.
     shape = np.shape(j)
     n = round(np.sqrt(shape[0])) if len(shape) == 2 else 0
-    if len(shape) != 2 or shape[0] != shape[1] or n * n != shape[0]:
-        raise ValueError(f"Choi matrix must be N^2 x N^2, got shape {shape}")
+    if len(shape) != 2 or shape[0] != shape[1] or n * n != shape[0] or n == 0:
+        raise ValueError(f"Choi matrix must be N^2 x N^2 with N >= 1, got shape {shape}")
     return n

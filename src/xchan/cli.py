@@ -60,8 +60,9 @@ from .tolerances import TOL_ORTH, TOL_PSD, TOL_TP, TOL_UNITARY
 MAX_SAMPLE_N = 64
 # Largest ``jacobian --n``.  The ``--step`` path sets it: its full real
 # embedding is 2 N^4 x (N^2 - N) floats, so memory grows as N^6, and N=16
-# takes about 2.9 s and 760 MB.  The exact path takes about 0.25 s and
-# 37 MB at N=16 (measured as for MAX_SAMPLE_N).
+# takes about 1.8-2.1 s and 518 MB (the embedding and the SVD's copy of it).
+# The exact path takes about 0.2 s and 36 MB at N=16 (measured as for
+# MAX_SAMPLE_N).
 MAX_JACOBIAN_N = 16
 # Largest ``bloch --count``: two (count, 3) float arrays and a CSV file of
 # about 110 bytes per point.

@@ -18,6 +18,12 @@ than ``linalg._BLOCK_MIN_UNITARY_DIM`` rows, takes one complete QR of the
 whole of V.  ``DilationModel`` checks unitarity along u's pattern in the
 same way.  When V has no imaginary part the QR and the unitarity check run
 in real arithmetic; u is complex128 either way.
+
+``stinespring`` builds u finite and of the model's shape, so its model
+skips ``DilationModel``'s finiteness scan and copy: u is frozen in place.
+Its unitarity residual is still measured and gated, because ``TOL_TP`` is
+looser than ``TOL_UNITARY``: a channel that passes the completeness gate
+can still give a u that misses the unitarity one.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from .channels import KrausChannel, require_trace_preserving
 from .errors import ValidationError
-from .linalg import _complement_basis, _unitarity_residual, as_complex, dagger
+from .linalg import _complement_basis, _frozen, _trusted, _unitarity_residual, as_complex, dagger
 from .states import DensityMatrix
 from .tolerances import TOL_UNITARY
 
@@ -65,12 +71,8 @@ class DilationModel:
                 f"unitary must be {total}x{total} for dims "
                 f"({self.dim_sys}, {self.dim_env}), got {u.shape}"
             )
-        res = _unitarity_residual(u)
-        if res > TOL_UNITARY:
-            raise ValidationError("u is not unitary", residual=res)
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
+        res = _checked_unitarity(u)
+        object.__setattr__(self, "u", _frozen(u.copy()))
         object.__setattr__(self, "unitarity_residual", res)
 
 
@@ -101,7 +103,21 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     slots = u.reshape(total, n, k)
     slots[:, :, 0] = isometry
     slots[:, :, 1:] = _complement_basis(isometry).reshape(total, n, k - 1)
-    return DilationModel(dim_sys=n, dim_env=k, u=u)
+    # u is finite and of the model's shape by construction; TOL_TP lets
+    # through channels whose u misses TOL_UNITARY, so unitarity is gated.
+    res = _checked_unitarity(u)
+    return _trusted(
+        DilationModel, dim_sys=n, dim_env=k, u=_frozen(u), env_state=0,
+        unitarity_residual=res,
+    )
+
+
+def _checked_unitarity(u: np.ndarray) -> float:
+    """The unitarity residual of u, refused above ``TOL_UNITARY``."""
+    res = _unitarity_residual(u)
+    if res > TOL_UNITARY:
+        raise ValidationError("u is not unitary", residual=res)
+    return res
 
 
 def evolve_via_dilation(model: DilationModel, rho: DensityMatrix) -> DensityMatrix:

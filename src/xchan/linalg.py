@@ -10,7 +10,10 @@ Matrix input is checked by one gate per kind: ``as_complex`` (a finite 2-D
 matrix), ``as_complex_stack`` (a non-empty set of same-shape finite
 matrices) and ``checked_hermitian`` (a finite square matrix, Hermitian
 within tolerance).  Other modules call these rather than repeat them, and
-an array the package built is not gated again (``_rank``).
+an array the package built is not gated again (``_rank``).  Likewise a
+value class instance the package built itself is made by ``_trusted``,
+which stores its read-only fields without the class's gate; each caller
+says why the invariants hold.
 
 A decomposition whose input has an imaginary part that is exactly zero
 everywhere runs in real arithmetic (``real_if_exact``): the real and the
@@ -21,10 +24,14 @@ dtypes either way.
 A matrix with at least ``_BLOCK_MIN_DIM`` rows and columns whose exact zero
 pattern splits into several connected components is decomposed block by
 block (``_components``; there is no tolerance).  ``herm_eig`` and
-``herm_eigvals`` make one batched call per block size and merge the blocks'
-eigenvalues in descending order, scattering each eigenvector back to its
-block's indices; ``matrix_rank`` takes one batched SVD per block shape and
-compares every singular value with the largest of all.  The Choi matrix of
+``herm_eigvals`` find the blocks of their input first and then run the
+Hermitian gate on the blocks' entries only: every other entry is an exact
+zero in h and in h^T, so the errors and the residual are the dense gate's,
+bit for bit.  They make one batched call per block size and merge the
+blocks' eigenvalues in descending order, scattering each eigenvector back
+to its block's indices (``kraus_from_choi`` asks only for those of the
+eigenvalues above its cutoff); ``matrix_rank`` takes one batched SVD per
+block shape and compares every singular value with the largest of all.  The Choi matrix of
 a channel ``C_i = U_i D_i`` with permutation ``U_i`` is such a matrix: its
 N^2 x N^2 pattern is one N x N block per operator.  Inside a degenerate
 eigenspace the eigenvectors may differ from those of one dense ``eigh``.
@@ -32,7 +39,9 @@ A matrix whose pattern is one block, such as a dense Haar-rotated Choi
 matrix, takes the dense call unchanged.  From ``_BLOCK_MIN_UNITARY_DIM``
 rows up, ``_complement_basis`` completes an isometry to a unitary with one
 batched complete QR per block shape, and ``_unitarity_residual`` checks a
-unitary with one batched product per block shape.
+unitary with one batched product per block shape, finding the blocks before
+it looks for an imaginary part.  Whether the blocks of a matrix run in real
+arithmetic is decided once for all of them, as for the whole matrix.
 """
 
 from __future__ import annotations
@@ -151,13 +160,7 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NotHermitianError
         If the input deviates from Hermiticity by more than ``TOL_HERM``.
     """
-    h = checked_hermitian(h)
-    if len(h) >= _BLOCK_MIN_DIM:
-        blocks = _hermitian_blocks(h)
-        if _splits(blocks):
-            return _block_eig(h, blocks)
-    w, v = np.linalg.eigh(h)
-    return w[::-1].copy(), v[:, ::-1].astype(complex)
+    return _herm_eig(h)
 
 
 def herm_eigvals(h: np.ndarray) -> np.ndarray:
@@ -168,11 +171,9 @@ def herm_eigvals(h: np.ndarray) -> np.ndarray:
     NotHermitianError
         If the input deviates from Hermiticity by more than ``TOL_HERM``.
     """
-    h = checked_hermitian(h)
-    if len(h) >= _BLOCK_MIN_DIM:
-        blocks = _hermitian_blocks(h)
-        if _splits(blocks):
-            return _block_eigvals(h, blocks)
+    h, blocks = _hermitian_split(h)
+    if blocks:
+        return _block_eigvals(h, blocks)
     return np.linalg.eigvalsh(h)[::-1].copy()
 
 
@@ -205,6 +206,85 @@ def checked_hermitian(h) -> np.ndarray:
     return h
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place."""
+    a.setflags(write=False)
+    return a
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without its ``__post_init__`` gate.
+
+    Only for a value the package built itself, whose invariants hold by
+    construction; each caller says why.  Array fields must be read-only
+    (``_frozen``) before any view of them is taken.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _herm_eig(h, above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig``, keeping only the eigenvectors whose eigenvalues exceed
+    ``above`` when it is given: every eigenvalue, descending, and an
+    (n, kept) complex128 array of the leading eigenvectors."""
+    h, blocks = _hermitian_split(h)
+    if blocks:
+        return _block_eig(h, blocks, above)
+    w, v = np.linalg.eigh(h)
+    w = w[::-1].copy()
+    kept = w.size if above is None else int(np.count_nonzero(w > above))
+    return w, v[:, ::-1][:, :kept].astype(complex)
+
+
+def _hermitian_split(h) -> tuple[np.ndarray, list | None]:
+    """``h`` and its ``_hermitian_blocks`` when ``h`` is square with at
+    least ``_BLOCK_MIN_DIM`` rows and its pattern splits, else
+    ``checked_hermitian(h)`` and None.
+
+    A split ``h`` is returned as complex128 and not yet gated:
+    ``_block_eig`` and ``_block_eigvals`` gate its blocks' entries.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim == 2 and h.shape[0] == h.shape[1] >= _BLOCK_MIN_DIM:
+        blocks = _hermitian_blocks(h)
+        if _splits(blocks):
+            return h, blocks
+    return checked_hermitian(h), None
+
+
+def _checked_blocks(h: np.ndarray, blocks) -> list[np.ndarray]:
+    """The diagonal blocks of ``_hermitian_blocks``, after the finiteness
+    and Hermiticity checks of ``checked_hermitian`` on their entries alone.
+
+    An entry in no block is an exact zero in h and in h^T, since a nonzero
+    entry, NaN included, joins its row and its column into one block.  So
+    the blocks are finite iff h is, exactly real iff h is, and their largest
+    Hermiticity residual is h's, bit for bit: the errors are the dense
+    gate's, in the same order.
+    """
+    parts = _gather(h, blocks)
+    for b in parts:
+        if not np.isfinite(b).all():
+            raise ValueError("matrix has non-finite entries")
+    res = max(float(np.abs(b - b.conj().transpose(0, 2, 1)).max()) for b in parts)
+    if res > TOL_HERM:
+        raise NotHermitianError("matrix is not Hermitian", residual=res)
+    return parts
+
+
+def _gather(m: np.ndarray, groups) -> list[np.ndarray]:
+    """The blocks ``m[rows, cols]`` of each ``_components`` group, as one
+    contiguous (g, a, b) array per group: real when the imaginary part of
+    every gathered entry is exactly zero, else complex."""
+    parts = [m[rows[:, :, None], cols[:, None, :]] for rows, cols in groups]
+    if np.iscomplexobj(m) and not any(b.imag.any() for b in parts):
+        return [b.real.copy() for b in parts]
+    return parts
+
+
 def _rank(stack: np.ndarray, tol_rank: float) -> int:
     """``matrix_rank`` of a finite (m, r, c) real or complex array, without
     the input gate: for arrays the package built itself."""
@@ -225,7 +305,9 @@ def _components(nz: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     (g, a) and (g, b) that list, in ascending order, the rows and the
     columns of each of the g components of that shape.  Rows and columns
     with no True entry belong to no block.  With its blocks' rows and
-    columns made contiguous, the pattern is block diagonal.
+    columns made contiguous, the pattern is block diagonal.  Callers with a
+    complex128 matrix m pass ``m.astype(bool)``: the pattern of ``m != 0``,
+    NaN included, at a third of its cost on a 256 x 256 matrix.
     """
     m, p = nz.shape
     if nz.all():
@@ -270,7 +352,7 @@ def _hermitian_blocks(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     chain of nonzero entries, read in either direction, links them.  An
     index whose row and column are zero is a block of its own.
     """
-    nz = h != 0
+    nz = h.astype(bool)
     np.fill_diagonal(nz, True)
     return _components(nz)
 
@@ -281,45 +363,44 @@ def _splits(groups: list[tuple[np.ndarray, np.ndarray]]) -> bool:
 
 
 def _block_eigvals(h: np.ndarray, blocks) -> np.ndarray:
-    """``herm_eigvals`` of a checked matrix from its ``_hermitian_blocks``,
-    one batched call per block size."""
-    w = np.concatenate([
-        np.linalg.eigvalsh(h[ix[:, :, None], ix[:, None, :]]).ravel()
-        for ix, _ in blocks
-    ])
+    """``herm_eigvals`` of a matrix from its ``_hermitian_blocks``, after
+    the blocks' gate (``_checked_blocks``), one batched call per block
+    size."""
+    w = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in _checked_blocks(h, blocks)])
     return w[np.argsort(-w, kind="stable")]
 
 
-def _block_eig(h: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """``herm_eig`` of a checked matrix from its ``_hermitian_blocks``, one
-    batched call per block size.
+def _block_eig(h: np.ndarray, blocks, above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``_herm_eig`` of a matrix from its ``_hermitian_blocks``, after the
+    blocks' gate (``_checked_blocks``), one batched call per block size.
 
-    Each block's eigenvectors are scattered back to its own indices, so the
+    Each kept eigenvector is scattered back to its block's indices, so the
     support of every column lies inside one block.
     """
-    parts = [np.linalg.eigh(h[ix[:, :, None], ix[:, None, :]]) for ix, _ in blocks]
+    parts = [np.linalg.eigh(b) for b in _checked_blocks(h, blocks)]
     w = np.concatenate([wb.ravel() for wb, _ in parts])
     order = np.argsort(-w, kind="stable")
+    w = w[order]
+    kept = w.size if above is None else int(np.count_nonzero(w > above))
     # dest[e] is the column that the e-th eigenvalue, in block order, lands in.
     dest = np.empty_like(order)
     dest[order] = np.arange(order.size)
-    v = np.zeros(h.shape, dtype=complex)
+    v = np.zeros((len(h), kept), dtype=complex)
     start = 0
     for (ix, _), (_, vb) in zip(blocks, parts):
         cols = dest[start:start + ix.size].reshape(ix.shape)
-        v[ix[:, :, None], cols[:, None, :]] = vb
         start += ix.size
-    return w[order], v
+        # Eigenvector e of block g, for every (g, e) that lands in a kept column.
+        g, e = np.nonzero(cols < kept)
+        v[ix[g], cols[g, e, None]] = vb[g, :, e]
+    return w, v
 
 
 def _block_rank(a: np.ndarray, groups, tol_rank: float) -> int:
     """``matrix_rank`` of a flattened (m, r*c) stack from its ``_components``,
     one batched SVD per block shape; rows and columns in no block add
     only zero singular values."""
-    s = np.concatenate([
-        np.linalg.svd(a[rows[:, :, None], cols[:, None, :]], compute_uv=False).ravel()
-        for rows, cols in groups
-    ])
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in _gather(a, groups)])
     return _count_above(s, tol_rank)
 
 
@@ -343,20 +424,19 @@ def _complement_basis(v: np.ndarray) -> np.ndarray:
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
-    """Max-entry residual of u^dag u - I for a square matrix ``u``.
+    """Max-entry residual of u^dag u - I for a finite square matrix ``u``.
 
     On the block path, the (a, b) blocks of u's exact pattern contribute
     their own b x b products.  Two columns in different blocks share no
     row, so their entry of u^dag u is an exact zero, and an all-zero
     column, in no block, has a diagonal entry 0: a residual of 1.0.
     """
-    r = real_if_exact(u)
-    if len(r) >= _BLOCK_MIN_UNITARY_DIM:
-        groups = _components(r != 0)
+    if len(u) >= _BLOCK_MIN_UNITARY_DIM:
+        groups = _components(u.astype(bool))
         if _splits(groups):
-            return _block_unitarity_residual(r, groups)
+            return _block_unitarity_residual(u, groups)
     # Contiguous, so that a real r^T r is one symmetric BLAS product.
-    r = np.ascontiguousarray(r)
+    r = np.ascontiguousarray(real_if_exact(u))
     return float(np.max(np.abs(dagger(r) @ r - np.eye(len(r)))))
 
 
@@ -379,15 +459,14 @@ def _block_complement(a: np.ndarray, groups) -> np.ndarray:
     return out
 
 
-def _block_unitarity_residual(r: np.ndarray, groups) -> float:
+def _block_unitarity_residual(u: np.ndarray, groups) -> float:
     """``_unitarity_residual`` of a square matrix from its ``_components``,
-    one batched product per block shape."""
+    one batched product per block shape, real when every block entry is."""
     covered = sum(cols.size for _, cols in groups)
-    res = 1.0 if covered < len(r) else 0.0
-    for rows, cols in groups:
-        b = r[rows[:, :, None], cols[:, None, :]]
+    res = 1.0 if covered < len(u) else 0.0
+    for b in _gather(u, groups):
         gram = b.conj().transpose(0, 2, 1) @ b
-        gram -= np.eye(cols.shape[1])
+        gram -= np.eye(b.shape[2])
         res = max(res, float(np.abs(gram).max()))
     return res
 

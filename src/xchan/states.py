@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSDError, NotUnitTraceError, ValidationError
-from .linalg import PAULIS, checked_hermitian, dagger
+from .linalg import PAULIS, _frozen, _trusted, checked_hermitian, dagger
 from .tolerances import TOL_BLOCH_NORM, TOL_PSD, TOL_TRACE
 
 
@@ -34,8 +34,7 @@ class DensityMatrix:
             raise NotPSDError(
                 "state has a negative eigenvalue", residual=low
             )
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", _frozen(m))
 
     @property
     def dim(self) -> int:
@@ -81,4 +80,5 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = dagger(g) @ g
-    return DensityMatrix(h / np.trace(h).real)
+    # g^dag g is PSD and Hermitian up to round-off; its trace is then 1.
+    return _trusted(DensityMatrix, mat=_frozen(h / np.trace(h).real))

@@ -1,0 +1,419 @@
+"""What the package built is not derived or gated twice, and gives the same
+values as if it were.
+
+- The exact Jacobian's full rank is certified from its block factors before
+  any SVD; the count equals the SVD's at every cutoff.
+- Values the package builds itself (sampled diagonals and channels, random
+  states, ``kraus_from_choi``'s operators, ``stinespring``'s model) skip
+  their class's gate, and are bitwise what the gate would have stored,
+  read-only, and accepted by it.
+- On the block path of ``linalg`` the Hermitian gate reads the blocks'
+  entries only, and refuses a matrix exactly as ``checked_hermitian`` does.
+- ``kraus_from_choi`` forms only the eigenvectors it keeps.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from xchan import linalg
+from xchan.channels import (
+    KrausChannel,
+    choi,
+    choi_min_eigenvalue,
+    choi_output_trace,
+    convex_combine,
+    kraus_from_choi,
+)
+from xchan.dilation import DilationModel, stinespring
+from xchan.errors import ValidationError
+from xchan.extremal import (
+    JACOBIAN_RANK_TOL,
+    ExtremalParams,
+    _block_arrow,
+    _block_arrow_reduction,
+    _block_factors,
+    _choi_embedding,
+    _dirichlet_diagonals,
+    _difference_jacobian,
+    _rank_bounds,
+    build_extremal,
+    canonical_unitaries,
+    parameter_jacobian_rank,
+    sample_extremal,
+    sample_interior,
+)
+from xchan.linalg import (
+    _components,
+    _hermitian_blocks,
+    _splits,
+    checked_hermitian,
+    herm_eig,
+    herm_eigvals,
+    real_if_exact,
+)
+from xchan.states import DensityMatrix, random_density
+from xchan.tolerances import TOL_RANK
+
+all_dims = pytest.mark.parametrize("n", range(2, 17))
+
+
+def svd_count(n: int, seed: int, cutoffs) -> list[int]:
+    """The SVD's rank of the block-arrow matrix at each relative cutoff."""
+    s = np.linalg.svd(_block_arrow_reduction(sample_interior(n, seed).diagonals), compute_uv=False)
+    return [int(np.sum(s > t * s[0])) for t in cutoffs]
+
+
+# ---------------------------------------------------------------------------
+# The full-rank certificate.
+
+CUTOFFS = (JACOBIAN_RANK_TOL, 1e-3, 0.9)
+
+
+@all_dims
+def test_rank_equals_the_svd_count_at_every_cutoff(n):
+    for seed in range(20):
+        params = sample_interior(n, seed)
+        expected = svd_count(n, seed, CUTOFFS)
+        got = [parameter_jacobian_rank(params, rank_tol=t) for t in CUTOFFS]
+        assert got == expected
+    assert expected[0] == n * n - n
+
+
+@all_dims
+def test_the_certificate_never_claims_more_than_the_svd(n):
+    # Cutoffs just below and just above s_min / s_0: the rank is N^2 - N
+    # and then one less, whichever path counts it.
+    for seed in range(3):
+        params = sample_interior(n, 40 + seed)
+        s = np.linalg.svd(_block_arrow_reduction(params.diagonals), compute_uv=False)
+        ratio = s[-1] / s[0]
+        assert parameter_jacobian_rank(params, rank_tol=ratio * (1 - 1e-9)) == n * n - n
+        assert parameter_jacobian_rank(params, rank_tol=ratio * (1 + 1e-9)) == n * n - n - 1
+
+
+@all_dims
+def test_the_certificate_bounds_are_the_documented_ones(n):
+    for seed in range(3):
+        r = _block_factors(sample_interior(n, 70 + seed).diagonals)
+        m = _block_arrow(r)
+        s = np.linalg.svd(m, compute_uv=False)
+        lo, hi = _rank_bounds(r)
+        lows = [1.0 / np.linalg.norm(np.linalg.inv(r_i), "fro") for r_i in r[:-1]]
+        assert lo == pytest.approx(min(lows), rel=1e-12)
+        assert hi == pytest.approx(np.linalg.norm(m, "fro"), rel=1e-12)
+        assert lo <= s[-1] and s[0] <= hi
+
+
+def test_two_nearly_singular_factors_refuse_the_certificate():
+    # x = (e, -e, 0, ...) misses the last row of blocks, so
+    # ||M x||^2 = ||R_0 e||^2 + ||R_1 e||^2: tiny when R_0 and R_1 are.
+    r = _block_factors(sample_interior(4, 1).diagonals)
+    r[:2] *= 1e-8
+    lo, hi = _rank_bounds(r)
+    assert not lo > JACOBIAN_RANK_TOL * hi
+    s = np.linalg.svd(_block_arrow(r), compute_uv=False)
+    assert np.sum(s > JACOBIAN_RANK_TOL * s[0]) < 12
+
+
+def svd_refused(*args, **kwargs):
+    raise AssertionError("the SVD ran")
+
+
+@all_dims
+def test_the_default_cutoff_needs_no_svd(n, monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", svd_refused)
+    for seed in range(20):
+        assert parameter_jacobian_rank(sample_interior(n, seed)) == n * n - n
+        assert parameter_jacobian_rank(sample_interior(n, seed), rank_tol=1e-3) == n * n - n
+
+
+def test_a_cutoff_above_one_over_root_two_takes_the_svd(monkeypatch):
+    # lo <= sigma_min <= ||M||_F / sqrt(N^2 - N) <= hi / sqrt(2).
+    monkeypatch.setattr(np.linalg, "svd", svd_refused)
+    with pytest.raises(AssertionError, match="the SVD ran"):
+        parameter_jacobian_rank(sample_interior(2, 1), rank_tol=0.9)
+
+
+@pytest.mark.parametrize("rank_tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_jacobian_rejects_a_rank_tol_that_is_not_finite_and_non_negative(rank_tol):
+    params = sample_interior(3, seed=1)
+    for step in (None, 1e-5):
+        with pytest.raises(ValueError, match="rank_tol") as err:
+            parameter_jacobian_rank(params, step=step, rank_tol=rank_tol)
+        assert not isinstance(err.value, ValidationError)
+
+
+def test_a_zero_rank_tol_counts_every_nonzero_singular_value():
+    assert parameter_jacobian_rank(sample_interior(4, 1), rank_tol=0.0) == 12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_difference_columns_are_the_central_differences_in_parameter_order(n):
+    d = sample_interior(n, 5).diagonals
+    unitaries = canonical_unitaries(n)
+    jac = _difference_jacobian(d, unitaries, 1e-5)
+    assert jac.shape == (2 * n**4, n * n - n) and jac.flags.f_contiguous
+    free = (d**2)[:-1]
+    for col, (i, m) in enumerate(np.ndindex(n - 1, n)):
+        plus, minus = free.copy(), free.copy()
+        plus[i, m] += 1e-5
+        minus[i, m] -= 1e-5
+        delta = _choi_embedding(plus, unitaries) - _choi_embedding(minus, unitaries)
+        assert np.array_equal(jac[:, col], delta / 2e-5)
+
+
+# ---------------------------------------------------------------------------
+# Values built by the package skip the gate and equal the gate's.
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_frozen_channel(ch: KrausChannel) -> None:
+    assert not ch.stack.flags.writeable and ch.stack.flags.c_contiguous
+    assert all(not c.flags.writeable for c in ch.kraus)
+    assert all(same_bits(c, s) for c, s in zip(ch.kraus, ch.stack))
+    assert len(ch.kraus) == len(ch.stack)
+    assert same_bits(KrausChannel(ch.stack).stack, ch.stack)
+
+
+@all_dims
+def test_sampled_values_equal_their_gated_construction(n):
+    for seed in range(5):
+        params, ch = sample_extremal(n, seed)
+        gated = ExtremalParams(_dirichlet_diagonals(n, seed))
+        assert same_bits(gated.diagonals, params.diagonals)
+        assert not params.diagonals.flags.writeable
+        assert_frozen_channel(ch)
+        # Passing the unitaries takes the gated KrausChannel.
+        assert same_bits(build_extremal(gated, canonical_unitaries(n)).stack, ch.stack)
+
+        interior = sample_interior(n, seed)
+        squares = 0.9 * _dirichlet_diagonals(n, seed) ** 2 + 0.1 / n
+        assert same_bits(ExtremalParams(np.sqrt(squares)).diagonals, interior.diagonals)
+        assert not interior.diagonals.flags.writeable
+
+        rho = random_density(n, seed)
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = g.conj().T @ g
+        assert same_bits(DensityMatrix(h / np.trace(h).real).mat, rho.mat)
+        assert same_bits(DensityMatrix(rho.mat).mat, rho.mat)
+        assert not rho.mat.flags.writeable
+
+        back = kraus_from_choi(choi(ch))
+        assert_frozen_channel(back)
+
+        model = stinespring(ch)
+        assert not model.u.flags.writeable
+        gated_model = DilationModel(model.dim_sys, model.dim_env, model.u)
+        assert same_bits(gated_model.u, model.u)
+        assert gated_model.unitarity_residual == model.unitarity_residual
+        assert model.env_state == 0
+
+
+def test_stinespring_still_gates_unitarity(monkeypatch):
+    # Complement columns of norm 2: u^dag u has 4 on their diagonal.
+    _, ch = sample_extremal(3, 1)
+    monkeypatch.setattr(
+        "xchan.dilation._complement_basis", lambda v: 2 * np.eye(len(v))[:, v.shape[1]:]
+    )
+    with pytest.raises(ValidationError, match="u is not unitary") as err:
+        stinespring(ch)
+    assert err.value.residual == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Block-first Hermitian gates.
+
+
+def outcome(call, *args):
+    """A comparable record of what ``call(*args)`` did."""
+    try:
+        call(*args)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "residual", None)
+    return "ok"
+
+
+def sampled_choi(n: int, seed: int) -> np.ndarray:
+    j = choi(sample_extremal(n, seed)[1])
+    assert len(j) >= linalg._BLOCK_MIN_DIM and _splits(_hermitian_blocks(j))
+    return j
+
+
+def largest_blocks(j: np.ndarray) -> np.ndarray:
+    """The indices of the blocks of the largest size, one row per block."""
+    ix, _ = max(_hermitian_blocks(j), key=lambda group: group[0].shape[1])
+    return ix
+
+
+def crafted(kind: str, n: int, seed: int) -> np.ndarray:
+    j = sampled_choi(n, seed)
+    a, b, c = largest_blocks(j)[:3]
+    if kind == "nan in a block":
+        j[a[0], a[1]] = np.nan
+    elif kind == "inf in a block":
+        j[a[1], a[1]] = complex(0.0, np.inf)
+    elif kind == "one-sided entry joins two blocks":
+        j[a[0], b[0]] = 1e-3
+    elif kind == "skew imaginary part in one block":
+        j[a[0], a[1]] += 1e-3j
+    elif kind == "hermitian imaginary part in one block":
+        j[a[0], a[1]] += 1e-3j
+        j[a[1], a[0]] -= 1e-3j
+    elif kind == "negative zero imaginary parts":
+        j.imag[...] = -0.0
+    elif kind == "real join, imaginary part in another block":
+        # Two block sizes: the joined pair is exactly real, the rest not.
+        j[a[0], b[0]] = j[b[0], a[0]] = 1e-3
+        j[c[0], c[1]] += 1e-3j
+        j[c[1], c[0]] -= 1e-3j
+    return j
+
+
+KINDS = [
+    "nan in a block",
+    "inf in a block",
+    "one-sided entry joins two blocks",
+    "skew imaginary part in one block",
+    "hermitian imaginary part in one block",
+    "negative zero imaginary parts",
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [7, 8, 11, 16])
+def test_block_first_gates_refuse_as_the_dense_gate(kind, n):
+    for seed in range(3):
+        h = crafted(kind, n, seed)
+        expected = outcome(checked_hermitian, h)
+        calls = [herm_eigvals, herm_eig, choi_min_eigenvalue]
+        # A valid perturbation may leave J indefinite, which only
+        # kraus_from_choi refuses.
+        calls += [kraus_from_choi] if expected != "ok" else []
+        for call in calls:
+            assert outcome(call, h) == expected
+        if kind == "one-sided entry joins two blocks":
+            assert expected[2] == 1e-3
+
+
+def test_the_joined_matrix_still_splits():
+    h = crafted("one-sided entry joins two blocks", 8, 0)
+    assert _splits(_hermitian_blocks(h))
+    assert len(_hermitian_blocks(h)) == 2
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_block_first_values_keep_their_arithmetic(n):
+    # -0.0 imaginary parts are exactly real: the real routine, bit for bit.
+    h = crafted("negative zero imaginary parts", n, 1)
+    real = h.real.copy()
+    assert same_bits(herm_eigvals(h), herm_eigvals(real))
+    for x, y in zip(herm_eig(h), herm_eig(real)):
+        assert same_bits(x, y)
+    # An imaginary part in one block makes every block complex, as in the
+    # dense gate's view of the whole matrix.
+    for kind in ("hermitian imaginary part in one block", "real join, imaginary part in another block"):
+        c = crafted(kind, n, 1)
+        blocks = _hermitian_blocks(c)
+        expected = np.concatenate([
+            np.linalg.eigvalsh(c[ix[:, :, None], ix[:, None, :]]).ravel() for ix, _ in blocks
+        ])
+        assert same_bits(herm_eigvals(c), expected[np.argsort(-expected, kind="stable")])
+    assert len(blocks) == 2
+
+
+def dense_pattern_residual(u: np.ndarray) -> float:
+    """The unitarity residual gathered from ``real_if_exact(u)``: realness
+    decided on the whole matrix, then one product per block shape."""
+    r = real_if_exact(u)
+    groups = _components(r != 0)
+    res = 1.0 if sum(cols.size for _, cols in groups) < len(r) else 0.0
+    for rows, cols in groups:
+        b = r[rows[:, :, None], cols[:, None, :]]
+        res = max(res, float(np.abs(b.conj().transpose(0, 2, 1) @ b - np.eye(b.shape[2])).max()))
+    return res
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "in a block", "outside blocks", "imaginary", "zero column"])
+def test_dilation_model_refuses_as_before(kind):
+    _, ch = sample_extremal(12, 3)
+    u = np.array(stinespring(ch).u)
+    assert len(u) >= linalg._BLOCK_MIN_UNITARY_DIM and _splits(_components(u != 0))
+    inside, outside = np.argwhere(u != 0), np.argwhere(u == 0)
+    if kind == "nan":
+        u[tuple(inside[3])] = np.nan
+    elif kind == "inf":
+        u[tuple(outside[3])] = np.inf
+    elif kind == "in a block":
+        u[tuple(inside[7])] += 1e-6
+    elif kind == "outside blocks":
+        u[tuple(outside[7])] = 1e-6
+    elif kind == "imaginary":
+        u[tuple(inside[5])] += 1e-6j
+    elif kind == "zero column":
+        u[:, 5] = 0.0
+    got = outcome(DilationModel, 12, 12, u)
+    if kind in ("nan", "inf"):
+        assert got == (ValueError, "matrix has non-finite entries", None)
+    else:
+        res = dense_pattern_residual(u)
+        assert got == (ValidationError, str(ValidationError("u is not unitary", residual=res)), res)
+
+
+# ---------------------------------------------------------------------------
+# kraus_from_choi keeps only the eigenvectors it uses.
+
+
+def full_eigenbasis_kraus(j: np.ndarray, tol_rank: float) -> np.ndarray:
+    """The operators built from every eigenvector, then selected."""
+    n = round(math.sqrt(len(j)))
+    w, v = herm_eig(j)
+    keep = w > tol_rank
+    vecs = (v[:, keep] * np.sqrt(w[keep])).T
+    return KrausChannel(vecs.reshape(-1, n, n).transpose(0, 2, 1)).stack
+
+
+@all_dims
+def test_kept_eigenvectors_give_the_full_basis_operators(n, haar_unitary):
+    _, ch = sample_extremal(n, n)
+    swap = np.eye(n)[[1, 0, *range(2, n)]]
+    mixed = convex_combine([ch, KrausChannel(swap @ ch.stack @ swap.T)], [0.3, 0.7])
+    rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
+    padded = KrausChannel(np.concatenate([ch.stack, np.zeros((1, n, n))]))
+    for c in (ch, mixed, rotated, padded):
+        j = choi(c)
+        # The third cutoff is an eigenvalue itself, which is not kept.
+        for tol_rank in (TOL_RANK, 1e-3, herm_eigvals(j)[2]):
+            assert same_bits(kraus_from_choi(j, tol_rank).stack, full_eigenbasis_kraus(j, tol_rank))
+
+
+def test_a_negative_tol_rank_that_keeps_a_negative_eigenvalue_is_refused():
+    j = choi(sample_extremal(3, 1)[1])
+    j[0, 0] -= 1e-11  # the smallest eigenvalue dips just below zero
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="non-finite"):
+        kraus_from_choi(j, tol_rank=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Empty input.
+
+
+def test_an_empty_kraus_operator_is_refused():
+    for shape in [(1, 0, 0), (3, 0, 0)]:
+        with pytest.raises(ValueError, match=re_shape(shape)):
+            KrausChannel(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call", [choi_min_eigenvalue, kraus_from_choi, choi_output_trace])
+def test_an_empty_choi_matrix_is_refused(call):
+    with pytest.raises(ValueError, match=r"N >= 1, got shape \(0, 0\)"):
+        call(np.zeros((0, 0)))
+
+
+def re_shape(shape) -> str:
+    return r"got stack shape \(" + r", ".join(map(str, shape)) + r"\)"
