@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import NotPSDError, NotTracePreservingError
 from .linalg import (
+    _check_rank_tol,
     _frozen,
     _herm_eig,
     _rank,
@@ -143,7 +144,15 @@ def check_extremal(
     independent (Gram rank k^2).  The verdict is representation-sensitive:
     padding a channel with redundant operators lowers the rank, so canonical
     answers come from the minimal Kraus set (see ``kraus_from_choi``).
+
+    Raises
+    ------
+    ValueError
+        If ``tol_rank`` is not a finite number >= 0.
+    NotTracePreservingError
+        If the completeness residual exceeds ``tol_tp``.
     """
+    _check_rank_tol(tol_rank, "tol_rank")
     require_trace_preserving(
         ch, "extremality is defined for trace-preserving channels", tol_tp
     )

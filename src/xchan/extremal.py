@@ -22,7 +22,9 @@ import numpy as np
 
 from .channels import KrausChannel, _trusted_channel, choi
 from .errors import ColumnOverflowError, SingularComplementError, ValidationError
-from .linalg import _frozen, _trusted, as_complex_stack, dagger, herm_eig, real_if_exact
+from .linalg import (
+    _check_rank_tol, _frozen, _trusted, as_complex_stack, dagger, herm_eig, real_if_exact
+)
 from .tolerances import (
     INTERIOR_MARGIN, JACOBIAN_RANK_TOL, TOL_COLUMN_SUM, TOL_PSD, TOL_SINGULAR, TOL_TP
 )
@@ -235,8 +237,7 @@ def parameter_jacobian_rank(
     """
     if step is not None and not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite number > 0, got {step!r}")
-    if not (np.isfinite(rank_tol) and rank_tol >= 0):
-        raise ValueError(f"rank_tol must be a finite number >= 0, got {rank_tol!r}")
+    _check_rank_tol(rank_tol, "rank_tol")
     d = params.diagonals
     if np.any(d <= INTERIOR_MARGIN) or np.any(d >= 1.0 - INTERIOR_MARGIN):
         raise ValidationError("parameters must be strictly interior")
@@ -366,11 +367,6 @@ def _rank_bounds(r: np.ndarray) -> tuple[float, float]:
     norms = np.sum(r**2, axis=(1, 2))
     hi = np.sqrt(np.sum(norms[:-1]) + (n - 1) * norms[-1])
     return float(lo), float(hi)
-
-
-def _block_arrow_reduction(d: np.ndarray) -> np.ndarray:
-    # M of ``parameter_jacobian_rank``.
-    return _block_arrow(_block_factors(d))
 
 
 def _block_arrow(r: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""Dense complex linear algebra primitives for small matrices.
+"""Linear algebra primitives for the small matrices of this package.
 
-Everything takes plain ``numpy`` arrays, works in ``complex128`` and is sized
-for the dimensions this package works at (N <= 16): partial traces,
-Hermitian eigendecomposition and numerical rank (via SVD).  Eigenvalues and
-singular values are always returned in descending order so downstream
-output is deterministic.
+Everything takes plain ``numpy`` arrays and is sized for the dimensions this
+package works at (N <= 16): partial traces, Hermitian eigendecomposition,
+numerical rank (via SVD), and the completion and check of a unitary.
+Eigenvalues and singular values are always returned in descending order so
+downstream output is deterministic.
 
 Matrix input is checked by one gate per kind: ``as_complex`` (a finite 2-D
 matrix), ``as_complex_stack`` (a non-empty set of same-shape finite
@@ -15,37 +15,36 @@ value class instance the package built itself is made by ``_trusted``,
 which stores its read-only fields without the class's gate; each caller
 says why the invariants hold.
 
-A decomposition whose input has an imaginary part that is exactly zero
-everywhere runs in real arithmetic (``real_if_exact``): the real and the
-complex routine then factor the same matrix, and the real one is two to
-three times as fast on a 256 x 256 matrix.  Outputs keep their documented
-dtypes either way.
+Every decomposition runs over the groups of its matrix (``_grouped``).  The
+whole matrix is one group unless its size reaches a gate and its exact zero
+pattern splits into several connected components (``_components``; there
+is no tolerance); then each component is a group.  The Choi matrix of a
+channel ``C_i = U_i D_i`` with permutation ``U_i`` splits so: its N^2 x N^2
+pattern is one N x N block per operator.  Below the gates the pattern
+search costs more than the smaller calls save.  The groups of one shape are
+gathered into one (g, a, b) array, the whole matrix as the view
+``m[None]``, and decomposed by one batched call.  The results are merged
+the same way for one group or many.  Each group's eigenvalues are reversed
+to descending order and all are merged by a stable sort, so exact ties keep
+the group order; each eigenvector is scattered to its group's indices
+(``kraus_from_choi`` asks only for those of the eigenvalues above its
+cutoff).  Every singular value is compared with the largest of all, and
+each group's complement columns are placed on its rows.  Inside a
+degenerate eigenspace the eigenvectors of a split matrix may differ from
+those of one ``eigh`` of the whole.
 
-A matrix with at least ``_BLOCK_MIN_DIM`` rows and columns whose exact zero
-pattern splits into several connected components is decomposed block by
-block (``_components``; there is no tolerance).  ``herm_eig`` and
-``herm_eigvals`` find the blocks of their input first and then run the
-Hermitian gate on the blocks' entries only: every other entry is an exact
-zero in h and in h^T, so the errors and the residual are the dense gate's,
-bit for bit.  They make one batched call per block size and merge the
-blocks' eigenvalues in descending order, scattering each eigenvector back
-to its block's indices (``kraus_from_choi`` asks only for those of the
-eigenvalues above its cutoff); ``matrix_rank`` takes one batched SVD per
-block shape and compares every singular value with the largest of all.  The Choi matrix of
-a channel ``C_i = U_i D_i`` with permutation ``U_i`` is such a matrix: its
-N^2 x N^2 pattern is one N x N block per operator.  Inside a degenerate
-eigenspace the eigenvectors may differ from those of one dense ``eigh``.
-A matrix whose pattern is one block, such as a dense Haar-rotated Choi
-matrix, takes the dense call unchanged.  From ``_BLOCK_MIN_UNITARY_DIM``
-rows up, ``_complement_basis`` completes an isometry to a unitary with one
-batched complete QR per block shape, and ``_unitarity_residual`` checks a
-unitary with one batched product per block shape, finding the blocks before
-it looks for an imaginary part.  Whether the blocks of a matrix run in real
-arithmetic is decided once for all of them, as for the whole matrix.
+Every entry outside the groups is an exact zero, since a nonzero entry, NaN
+included, joins its row and its column.  So the Hermitian gate reads the
+groups' entries only and still finds the whole matrix's errors and residual,
+bit for bit.  And when every gathered imaginary part is exactly zero, so is
+the matrix's: the groups are then decomposed in real arithmetic
+(``real_if_exact``), two to three times as fast as the complex routine on a
+256 x 256 matrix.  Outputs keep their documented dtypes either way.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,18 +59,18 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SX, SY, SZ)
 
-# A matrix with at least this many rows and columns is decomposed block by
-# block when its exact nonzero pattern splits (see ``_components``).  Below
-# it the pattern search costs more than the smaller calls save: for sampled
-# channels the block and the dense path break even at a 36 x 36 Choi
-# matrix or product stack (N = 6), and the block path wins from 49 x 49.
+# A matrix with at least this many rows and columns is decomposed group by
+# group when its exact nonzero pattern splits (see ``_grouped``).  Below it
+# the pattern search costs more than the smaller calls save: for sampled
+# channels the split and the whole matrix break even at a 36 x 36 Choi
+# matrix or product stack (N = 6), and the split wins from 49 x 49.
 _BLOCK_MIN_DIM = 40
 
 # The same gate for completing an isometry to a unitary and for checking
 # unitarity (``_complement_basis``, ``_unitarity_residual``), on the row
-# count N k.  A dense QR or product of this shape costs less than the
+# count N k.  A QR or product of the whole matrix costs less than the
 # pattern search up to a larger size: for sampled channels ``stinespring``
-# breaks even at N k = 121 (N = 11), and the block path wins from 144.
+# breaks even at N k = 121 (N = 11), and the split wins from 144.
 _BLOCK_MIN_UNITARY_DIM = 128
 
 
@@ -118,19 +117,24 @@ def real_if_exact(m: np.ndarray) -> np.ndarray:
     There is no tolerance: a real input passes through, and a complex one
     with any nonzero imaginary entry, however small, stays complex.
     """
-    if np.iscomplexobj(m) and not m.imag.any():
-        return m.real
-    return m
+    return _real_if_exact([m])[0]
 
 
 def herm_residual(m: np.ndarray) -> float:
-    """Maximum entry deviation from Hermiticity."""
+    """Maximum entry deviation from Hermiticity of a matrix, or of a
+    (g, a, a) stack of them."""
     if not m.size:
         return 0.0
-    d = m - dagger(m)
+    d = m - m.conj().swapaxes(-1, -2)
     # A real difference takes its absolute value in place: at 256 x 256 a
     # second fresh array costs three times the arithmetic.
-    return float((np.abs(d, out=d) if np.isrealobj(d) else np.abs(d)).max())
+    return float((np.abs(d) if d.dtype.kind == "c" else np.abs(d, out=d)).max())
+
+
+def _check_rank_tol(value: float, name: str) -> None:
+    """Refuse a relative rank cutoff that is not a finite number >= 0."""
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def partial_trace(m: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:
@@ -171,10 +175,8 @@ def herm_eigvals(h: np.ndarray) -> np.ndarray:
     NotHermitianError
         If the input deviates from Hermiticity by more than ``TOL_HERM``.
     """
-    h, blocks = _hermitian_split(h)
-    if blocks:
-        return _block_eigvals(h, blocks)
-    return np.linalg.eigvalsh(h)[::-1].copy()
+    _, parts = _checked_hermitian(h, _BLOCK_MIN_DIM)
+    return _descending([np.linalg.eigvalsh(b) for b in parts])[0]
 
 
 def matrix_rank(mats: Sequence[np.ndarray] | np.ndarray, tol_rank: float = TOL_RANK) -> int:
@@ -182,7 +184,14 @@ def matrix_rank(mats: Sequence[np.ndarray] | np.ndarray, tol_rank: float = TOL_R
 
     ``mats`` is a sequence of matrices or an (m, r, c) array.  Counts
     singular values above ``tol_rank`` times the largest one.
+
+    Raises
+    ------
+    ValueError
+        If ``tol_rank`` is not a finite number >= 0, or ``mats`` fails the
+        input gate (``as_complex_stack``).
     """
+    _check_rank_tol(tol_rank, "tol_rank")
     return _rank(as_complex_stack(mats), tol_rank)
 
 
@@ -197,13 +206,8 @@ def checked_hermitian(h) -> np.ndarray:
     NotHermitianError
         If ``h`` deviates from Hermiticity by more than ``TOL_HERM``.
     """
-    h = real_if_exact(as_complex(h))
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    res = herm_residual(h)
-    if res > TOL_HERM:
-        raise NotHermitianError("matrix is not Hermitian", residual=res)
-    return h
+    _, parts = _checked_hermitian(h, np.inf)
+    return parts[0][0]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -226,74 +230,156 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _herm_eig(h, above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``herm_eig``, keeping only the eigenvectors whose eigenvalues exceed
-    ``above`` when it is given: every eigenvalue, descending, and an
-    (n, kept) complex128 array of the leading eigenvectors."""
-    h, blocks = _hermitian_split(h)
-    if blocks:
-        return _block_eig(h, blocks, above)
-    w, v = np.linalg.eigh(h)
-    w = w[::-1].copy()
-    kept = w.size if above is None else int(np.count_nonzero(w > above))
-    return w, v[:, ::-1][:, :kept].astype(complex)
+def _checked_hermitian(h, gate: float) -> tuple[list, list[np.ndarray]]:
+    """The groups of ``h`` and their entries (``_grouped``, split from
+    ``gate`` rows up), after the finite, square and Hermiticity checks.
 
-
-def _hermitian_split(h) -> tuple[np.ndarray, list | None]:
-    """``h`` and its ``_hermitian_blocks`` when ``h`` is square with at
-    least ``_BLOCK_MIN_DIM`` rows and its pattern splits, else
-    ``checked_hermitian(h)`` and None.
-
-    A split ``h`` is returned as complex128 and not yet gated:
-    ``_block_eig`` and ``_block_eigvals`` gate its blocks' entries.
+    The checks read the gathered entries only.  They are the whole matrix's
+    checks all the same, in the same order, with the same errors and
+    residual: entries outside the groups are exact zeros in h and in h^T.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim == 2 and h.shape[0] == h.shape[1] >= _BLOCK_MIN_DIM:
-        blocks = _hermitian_blocks(h)
-        if _splits(blocks):
-            return h, blocks
-    return checked_hermitian(h), None
-
-
-def _checked_blocks(h: np.ndarray, blocks) -> list[np.ndarray]:
-    """The diagonal blocks of ``_hermitian_blocks``, after the finiteness
-    and Hermiticity checks of ``checked_hermitian`` on their entries alone.
-
-    An entry in no block is an exact zero in h and in h^T, since a nonzero
-    entry, NaN included, joins its row and its column into one block.  So
-    the blocks are finite iff h is, exactly real iff h is, and their largest
-    Hermiticity residual is h's, bit for bit: the errors are the dense
-    gate's, in the same order.
-    """
-    parts = _gather(h, blocks)
+    if h.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={h.ndim}")
+    groups, parts = _grouped(h, min(h.shape), gate, hermitian=True)
     for b in parts:
         if not np.isfinite(b).all():
             raise ValueError("matrix has non-finite entries")
-    res = max(float(np.abs(b - b.conj().transpose(0, 2, 1)).max()) for b in parts)
+    if h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    res = max(map(herm_residual, parts))
     if res > TOL_HERM:
         raise NotHermitianError("matrix is not Hermitian", residual=res)
-    return parts
+    return groups, parts
 
 
-def _gather(m: np.ndarray, groups) -> list[np.ndarray]:
-    """The blocks ``m[rows, cols]`` of each ``_components`` group, as one
-    contiguous (g, a, b) array per group: real when the imaginary part of
-    every gathered entry is exactly zero, else complex."""
-    parts = [m[rows[:, :, None], cols[:, None, :]] for rows, cols in groups]
-    if np.iscomplexobj(m) and not any(b.imag.any() for b in parts):
-        return [b.real.copy() for b in parts]
-    return parts
+def _herm_eig(h, above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig``, keeping only the eigenvectors whose eigenvalues exceed
+    ``above`` when it is given: every eigenvalue, descending, and an
+    (n, kept) complex128 array of the leading eigenvectors.
+
+    Each kept eigenvector is scattered to its group's indices, so the
+    support of every column lies inside one group.
+    """
+    groups, parts = _checked_hermitian(h, _BLOCK_MIN_DIM)
+    pairs = [np.linalg.eigh(b) for b in parts]
+    w, order = _descending([wb for wb, _ in pairs])
+    kept = w.size if above is None else int(np.count_nonzero(w > above))
+    # dest[e] is the column that the e-th eigenvalue, in group order, lands
+    # in; every eigenvector that is not kept lands in the spare column kept.
+    dest = np.minimum(order.argsort(), kept)
+    v = np.zeros((w.size, kept + 1), dtype=complex)
+    start = 0
+    for (ix, _), (_, vb) in zip(groups, pairs):
+        cols = dest[start:start + ix.size].reshape(ix.shape)
+        start += ix.size
+        v[ix[:, :, None], cols[:, None, :]] = vb[:, :, ::-1]
+    return w, v[:, :kept]
+
+
+def _descending(ws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of every group, descending, and the order that sorts
+    their concatenation in group order into it.
+
+    Each group's ascending ``eigh`` output is reversed first, and the stable
+    sort keeps exact ties in that order: group by group, and inside a group
+    in reversed ``eigh`` order.  One group is already in order.
+    """
+    w = np.concatenate([wb[:, ::-1] for wb in ws], axis=None)
+    order = (-w).argsort(kind="stable")
+    return w[order], order
 
 
 def _rank(stack: np.ndarray, tol_rank: float) -> int:
     """``matrix_rank`` of a finite (m, r, c) real or complex array, without
-    the input gate: for arrays the package built itself."""
-    a = real_if_exact(stack.reshape(len(stack), -1))
-    if min(a.shape) >= _BLOCK_MIN_DIM:
-        groups = _components(a != 0)
+    the input gates: for arrays the package built itself.  Rows and
+    columns in no group add only zero singular values."""
+    a = stack.reshape(len(stack), -1)
+    _, parts = _grouped(a, min(a.shape), _BLOCK_MIN_DIM)
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in parts], axis=None)
+    return _count_above(s, tol_rank)
+
+
+def _complement_basis(v: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the complement of an isometry's range.
+
+    ``v`` is an (m, p) matrix with orthonormal columns; returns the (m, m-p)
+    matrix whose columns complete them to an orthonormal basis, real when
+    ``v`` is exactly real.  The groups are decided on m, the side of the
+    unitary being completed.  Each (a, b) group of ``v`` contributes the
+    last a-b columns of its own complete QR factor, supported on its rows,
+    and every row in no group (a zero row of a split ``v``) a unit column.
+    """
+    m, p = v.shape
+    groups, parts = _grouped(v, m, _BLOCK_MIN_UNITARY_DIM)
+    out = np.zeros((m, m - p), dtype=parts[0].dtype)
+    start = 0
+    for (rows, cols), b in zip(groups, parts):
+        g, rank = cols.shape
+        free = np.linalg.qr(b, mode="complete")[0][:, :, rank:]
+        stop = start + free.shape[2] * g
+        # Block i's free columns are the i-th run of out[:, start:stop].
+        out[:, start:stop].reshape(m, g, -1)[rows, np.arange(g)[:, None]] = free
+        start = stop
+    if start < m - p:
+        # The rows in no group are the zero rows of a split v.
+        loose = (~v.any(axis=1)).nonzero()[0]
+        out[loose, np.arange(start, m - p)] = 1.0
+    return out
+
+
+def _unitarity_residual(u: np.ndarray) -> float:
+    """Max-entry residual of u^dag u - I for a finite square matrix ``u``.
+
+    Each (a, b) group of u contributes its own b x b product.  Two columns
+    in different groups share no row, so their entry of u^dag u is an exact
+    zero, and an all-zero column of a split u, in no group, has a diagonal
+    entry 0: a residual of 1.0.
+    """
+    groups, parts = _grouped(u, len(u), _BLOCK_MIN_UNITARY_DIM)
+    res = 1.0 if sum(cols.size for _, cols in groups) < len(u) else 0.0
+    for b in parts:
+        # Contiguous, so that a real b^T b is one symmetric BLAS product.
+        b = np.ascontiguousarray(b)
+        gram = b.conj().transpose(0, 2, 1) @ b
+        gram -= np.eye(b.shape[2])
+        res = max(res, float(np.abs(gram).max()))
+    return res
+
+
+def _grouped(m: np.ndarray, size: int, gate: float, hermitian: bool = False) -> tuple:
+    """The groups of ``m`` and their entries: ``(groups, parts)``.
+
+    ``groups`` holds ``(rows, cols)`` pairs as ``_components`` gives them,
+    and ``parts`` the blocks ``m[rows, cols]`` of each, one (g, a, b) array
+    per group shape, under ``_real_if_exact``.  The whole matrix is the one
+    group ``([[0 .. r-1]], [[0 .. c-1]])``, gathered as the view ``m[None]``,
+    unless ``size`` is at least ``gate`` and the exact pattern of ``m``
+    splits into more than one block.  ``size`` is m's smaller side, or the
+    side of the unitary that ``_complement_basis`` completes.  A
+    ``hermitian`` m is split along ``_hermitian_blocks``.
+    """
+    if size >= gate:
+        groups = _hermitian_blocks(m) if hermitian else _components(m.astype(bool))
         if _splits(groups):
-            return _block_rank(a, groups, tol_rank)
-    return _count_above(np.linalg.svd(a, compute_uv=False), tol_rank)
+            parts = [m[rows[:, :, None], cols[:, None, :]] for rows, cols in groups]
+            return groups, _real_if_exact(parts)
+    return _whole(*m.shape), _real_if_exact([m[None]])
+
+
+@lru_cache(maxsize=128)
+def _whole(r: int, c: int) -> tuple[tuple[np.ndarray, np.ndarray]]:
+    """The one group of an r x c matrix that is not split, made once per
+    shape."""
+    return ((_frozen(np.arange(r)[None]), _frozen(np.arange(c)[None])),)
+
+
+def _real_if_exact(parts: list[np.ndarray]) -> list[np.ndarray]:
+    """The real views of ``parts`` if every imaginary part of every one is
+    exactly zero, else ``parts``: one decision for all of them."""
+    if parts[0].dtype.kind == "c" and not any([b.imag.any() for b in parts]):
+        return [b.real for b in parts]
+    return parts
 
 
 def _components(nz: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -362,118 +448,9 @@ def _splits(groups: list[tuple[np.ndarray, np.ndarray]]) -> bool:
     return sum(len(rows) for rows, _ in groups) > 1
 
 
-def _block_eigvals(h: np.ndarray, blocks) -> np.ndarray:
-    """``herm_eigvals`` of a matrix from its ``_hermitian_blocks``, after
-    the blocks' gate (``_checked_blocks``), one batched call per block
-    size."""
-    w = np.concatenate([np.linalg.eigvalsh(b).ravel() for b in _checked_blocks(h, blocks)])
-    return w[np.argsort(-w, kind="stable")]
-
-
-def _block_eig(h: np.ndarray, blocks, above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``_herm_eig`` of a matrix from its ``_hermitian_blocks``, after the
-    blocks' gate (``_checked_blocks``), one batched call per block size.
-
-    Each kept eigenvector is scattered back to its block's indices, so the
-    support of every column lies inside one block.
-    """
-    parts = [np.linalg.eigh(b) for b in _checked_blocks(h, blocks)]
-    w = np.concatenate([wb.ravel() for wb, _ in parts])
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    kept = w.size if above is None else int(np.count_nonzero(w > above))
-    # dest[e] is the column that the e-th eigenvalue, in block order, lands in.
-    dest = np.empty_like(order)
-    dest[order] = np.arange(order.size)
-    v = np.zeros((len(h), kept), dtype=complex)
-    start = 0
-    for (ix, _), (_, vb) in zip(blocks, parts):
-        cols = dest[start:start + ix.size].reshape(ix.shape)
-        start += ix.size
-        # Eigenvector e of block g, for every (g, e) that lands in a kept column.
-        g, e = np.nonzero(cols < kept)
-        v[ix[g], cols[g, e, None]] = vb[g, :, e]
-    return w, v
-
-
-def _block_rank(a: np.ndarray, groups, tol_rank: float) -> int:
-    """``matrix_rank`` of a flattened (m, r*c) stack from its ``_components``,
-    one batched SVD per block shape; rows and columns in no block add
-    only zero singular values."""
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in _gather(a, groups)])
-    return _count_above(s, tol_rank)
-
-
-def _complement_basis(v: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the complement of an isometry's range.
-
-    ``v`` is an (m, p) matrix with orthonormal columns; returns the (m, m-p)
-    matrix whose columns complete them to an orthonormal basis, real when
-    ``v`` is exactly real.  Dense, these are the last m-p columns of one
-    complete QR factor of ``v``.  On the block path each (a, b) block of
-    ``v`` contributes the last a-b columns of its own complete QR factor,
-    supported on the block's rows, and every row in no block a unit column.
-    """
-    a = real_if_exact(v)
-    m, p = a.shape
-    if m >= _BLOCK_MIN_UNITARY_DIM:
-        groups = _components(a != 0)
-        if _splits(groups):
-            return _block_complement(a, groups)
-    return np.linalg.qr(a, mode="complete")[0][:, p:]
-
-
-def _unitarity_residual(u: np.ndarray) -> float:
-    """Max-entry residual of u^dag u - I for a finite square matrix ``u``.
-
-    On the block path, the (a, b) blocks of u's exact pattern contribute
-    their own b x b products.  Two columns in different blocks share no
-    row, so their entry of u^dag u is an exact zero, and an all-zero
-    column, in no block, has a diagonal entry 0: a residual of 1.0.
-    """
-    if len(u) >= _BLOCK_MIN_UNITARY_DIM:
-        groups = _components(u.astype(bool))
-        if _splits(groups):
-            return _block_unitarity_residual(u, groups)
-    # Contiguous, so that a real r^T r is one symmetric BLAS product.
-    r = np.ascontiguousarray(real_if_exact(u))
-    return float(np.max(np.abs(dagger(r) @ r - np.eye(len(r)))))
-
-
-def _block_complement(a: np.ndarray, groups) -> np.ndarray:
-    """``_complement_basis`` of an (m, p) isometry from its ``_components``,
-    one batched complete QR per block shape."""
-    m, p = a.shape
-    out = np.zeros((m, m - p), dtype=a.dtype)
-    start = 0
-    for rows, cols in groups:
-        g, rank = cols.shape
-        q = np.linalg.qr(a[rows[:, :, None], cols[:, None, :]], mode="complete")[0]
-        free = q[:, :, rank:]
-        dest = start + np.arange(free.shape[2] * g).reshape(g, -1)
-        out[rows[:, :, None], dest[:, None, :]] = free
-        start += dest.size
-    # The rows in no block are the zero rows of ``a``.
-    zero = np.flatnonzero(~a.any(axis=1))
-    out[zero, start + np.arange(zero.size)] = 1.0
-    return out
-
-
-def _block_unitarity_residual(u: np.ndarray, groups) -> float:
-    """``_unitarity_residual`` of a square matrix from its ``_components``,
-    one batched product per block shape, real when every block entry is."""
-    covered = sum(cols.size for _, cols in groups)
-    res = 1.0 if covered < len(u) else 0.0
-    for b in _gather(u, groups):
-        gram = b.conj().transpose(0, 2, 1) @ b
-        gram -= np.eye(b.shape[2])
-        res = max(res, float(np.abs(gram).max()))
-    return res
-
-
 def _count_above(s: np.ndarray, tol_rank: float) -> int:
     """Singular values above ``tol_rank`` times the largest one."""
     top = float(s.max()) if s.size else 0.0
     if top == 0.0:
         return 0
-    return int(np.sum(s > tol_rank * top))
+    return int(np.count_nonzero(s > tol_rank * top))

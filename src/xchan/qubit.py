@@ -44,7 +44,7 @@ import numpy as np
 from .channels import KrausChannel, apply_to_matrix
 from .errors import ValidationError
 from .extremal import ExtremalParams, build_extremal
-from .linalg import ID2, PAULIS, SX, SY
+from .linalg import ID2, PAULIS, SX, SY, _frozen
 from .states import DensityMatrix, bloch_to_rho, rho_to_bloch
 
 # (I, sigma_x, sigma_y, sigma_z): the inputs whose images give the affine map.
@@ -84,12 +84,8 @@ class BlochAffine:
             raise ValueError(f"linear part must be 3x3, got {lin.shape}")
         if vec.shape != (3,):
             raise ValueError(f"translation must be length 3, got {vec.shape}")
-        lin = lin.copy()
-        vec = vec.copy()
-        lin.setflags(write=False)
-        vec.setflags(write=False)
-        object.__setattr__(self, "t_lin", lin)
-        object.__setattr__(self, "t_vec", vec)
+        object.__setattr__(self, "t_lin", _frozen(lin.copy()))
+        object.__setattr__(self, "t_vec", _frozen(vec.copy()))
 
     def transform(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=float)

@@ -1,17 +1,18 @@
-"""The block path of the decompositions matches the dense one.
+"""The groups of a split matrix give the decompositions of the whole one.
 
-From ``linalg._BLOCK_MIN_DIM`` rows and columns up, ``herm_eig``,
-``herm_eigvals`` and ``matrix_rank`` split a matrix along the connected
-components of its exact nonzero pattern and decompose each block; from
-``linalg._BLOCK_MIN_UNITARY_DIM`` rows up, so do the unitary completion of
-``stinespring`` and the unitarity check of ``DilationModel``.  These tests
-call the block code directly, or move the crossover to 0, so every N from
-2 to 16 is covered, and compare it with the dense call on the same matrix:
+``linalg`` decomposes a matrix over its groups: the whole matrix, or, from
+``linalg._BLOCK_MIN_DIM`` rows and columns up (``herm_eig``,
+``herm_eigvals``, ``matrix_rank``) and from
+``linalg._BLOCK_MIN_UNITARY_DIM`` rows up (the unitary completion of
+``stinespring`` and the unitarity check of ``DilationModel``), the
+connected components of its exact nonzero pattern when there are several.
+These tests move the crossover to 0, so the split runs at every N from 2
+to 16, and compare it with one dense numpy call on the same matrix:
 sampled channels, padded mixtures whose supports overlap and merge blocks,
 diagonals with exact zeros (zero rows are blocks of their own, or unit
 columns of the dilation), a raw Kraus set with an all-zero operator, and a
 Haar-rotated channel, whose dense pattern is one block and keeps the dense
-path bit for bit.
+result bit for bit.
 """
 
 import numpy as np
@@ -26,11 +27,9 @@ from xchan.errors import ValidationError
 from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
 from xchan.linalg import (
     _BLOCK_MIN_UNITARY_DIM,
-    _block_eig,
-    _block_eigvals,
-    _block_rank,
     _components,
     _hermitian_blocks,
+    _rank,
     _splits,
     _unitarity_residual,
     checked_hermitian,
@@ -59,30 +58,35 @@ def dense_rank(a: np.ndarray) -> int:
     return int(np.sum(s > TOL_RANK * s[0])) if s[0] > 0 else 0
 
 
+def split(fn, *args):
+    """``fn(*args)`` with the crossover of ``herm_eig``, ``herm_eigvals`` and
+    ``matrix_rank`` moved to 0, so a pattern that splits is split."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_BLOCK_MIN_DIM", 0)
+        return fn(*args)
+
+
 def assert_paths_agree(ch: KrausChannel) -> None:
-    """Block and dense decompositions of the channel's Choi matrix and
+    """Split and dense decompositions of the channel's Choi matrix and
     product stack agree, and the Choi matrix survives a round trip through
-    the block eigenvectors."""
+    the split eigenvectors."""
     j = choi(ch)
     h = checked_hermitian(j)
-    blocks = _hermitian_blocks(h)
     dense = np.linalg.eigvalsh(h)[::-1]
-    w = _block_eigvals(h, blocks)
+    w = split(herm_eigvals, h)
     assert np.all(np.diff(w) <= 0)
     assert np.max(np.abs(w - dense)) <= 1e-14
-    w_vec, v = _block_eig(h, blocks)
+    w_vec, v = split(herm_eig, h)
     assert v.dtype == np.complex128
     assert np.max(np.abs(w_vec - dense)) <= 1e-14
     assert np.max(np.abs((v * w_vec) @ v.conj().T - j)) <= 1e-12
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(j)))) <= 1e-12
 
     a = linalg.real_if_exact(products(ch))
-    assert _block_rank(a, _components(a != 0), TOL_RANK) == dense_rank(a)
+    assert split(_rank, a[:, None], TOL_RANK) == dense_rank(a)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_BLOCK_MIN_DIM", 0)
-        back = kraus_from_choi(j)
-        assert np.max(np.abs(choi(back) - j)) <= 1e-12
+    back = split(kraus_from_choi, j)
+    assert np.max(np.abs(choi(back) - j)) <= 1e-12
 
 
 def with_zero_diagonals(n: int, seed: int) -> ExtremalParams:
@@ -134,7 +138,7 @@ def test_diagonals_with_exact_zeros(n, seed):
     zero_rows = np.flatnonzero(~h.any(axis=1))
     singletons = [ix[:, 0] for ix, _ in blocks if ix.shape[1] == 1]
     assert set(zero_rows.tolist()) <= set(np.concatenate(singletons).tolist())
-    assert np.sum(_block_eigvals(h, blocks) == 0.0) >= zero_rows.size
+    assert np.sum(split(herm_eigvals, h) == 0.0) >= zero_rows.size
 
 
 @all_dims

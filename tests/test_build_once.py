@@ -32,7 +32,6 @@ from xchan.extremal import (
     JACOBIAN_RANK_TOL,
     ExtremalParams,
     _block_arrow,
-    _block_arrow_reduction,
     _block_factors,
     _choi_embedding,
     _dirichlet_diagonals,
@@ -61,7 +60,8 @@ all_dims = pytest.mark.parametrize("n", range(2, 17))
 
 def svd_count(n: int, seed: int, cutoffs) -> list[int]:
     """The SVD's rank of the block-arrow matrix at each relative cutoff."""
-    s = np.linalg.svd(_block_arrow_reduction(sample_interior(n, seed).diagonals), compute_uv=False)
+    m = _block_arrow(_block_factors(sample_interior(n, seed).diagonals))
+    s = np.linalg.svd(m, compute_uv=False)
     return [int(np.sum(s > t * s[0])) for t in cutoffs]
 
 
@@ -87,7 +87,7 @@ def test_the_certificate_never_claims_more_than_the_svd(n):
     # and then one less, whichever path counts it.
     for seed in range(3):
         params = sample_interior(n, 40 + seed)
-        s = np.linalg.svd(_block_arrow_reduction(params.diagonals), compute_uv=False)
+        s = np.linalg.svd(_block_arrow(_block_factors(params.diagonals)), compute_uv=False)
         ratio = s[-1] / s[0]
         assert parameter_jacobian_rank(params, rank_tol=ratio * (1 - 1e-9)) == n * n - n
         assert parameter_jacobian_rank(params, rank_tol=ratio * (1 + 1e-9)) == n * n - n - 1

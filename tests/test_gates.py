@@ -22,7 +22,14 @@ from xchan.channels import (
 )
 from xchan.dilation import DilationModel, stinespring
 from xchan.errors import NotHermitianError, NotTracePreservingError
-from xchan.extremal import ExtremalParams, build_extremal, pair_reduction_step
+from xchan.extremal import (
+    ExtremalParams,
+    build_extremal,
+    pair_reduction_step,
+    parameter_jacobian_rank,
+    sample_extremal,
+    sample_interior,
+)
 from xchan.linalg import ID2, SX, herm_eig, herm_eigvals, matrix_rank
 from xchan.serialize import dump_channel, parse_channel
 from xchan.states import DensityMatrix, random_density
@@ -112,6 +119,30 @@ def test_non_trace_preserving_channels_raise_with_the_check_residual(call):
     with pytest.raises(NotTracePreservingError) as info:
         call(ch)
     assert info.value.residual == check_trace_preserving(ch).residual == 0.5
+
+
+RANK_CUTOFFS = {
+    "check_extremal": lambda t: check_extremal(sample_extremal(3, 1)[1], tol_rank=t),
+    "matrix_rank": lambda t: matrix_rank([ID2, SX], tol_rank=t),
+    "parameter_jacobian_rank": lambda t: parameter_jacobian_rank(sample_interior(3, 1), rank_tol=t),
+}
+
+
+@pytest.mark.parametrize("name", RANK_CUTOFFS)
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+def test_a_rank_cutoff_that_is_not_finite_and_non_negative_is_refused(name, tol):
+    word = "rank_tol" if name == "parameter_jacobian_rank" else "tol_rank"
+    with pytest.raises(ValueError) as info:
+        RANK_CUTOFFS[name](tol)
+    assert str(info.value) == f"{word} must be a finite number >= 0, got {tol!r}"
+
+
+@pytest.mark.parametrize("name", RANK_CUTOFFS)
+def test_finite_non_negative_rank_cutoffs_are_accepted(name):
+    for tol in (0.0, 1e-9, 0.5):
+        RANK_CUTOFFS[name](tol)
+    assert check_extremal(sample_extremal(3, 1)[1], tol_rank=0.0).gram_rank == 9
+    assert matrix_rank([ID2, SX], tol_rank=0.0) == 2
 
 
 def test_public_api_is_pinned():

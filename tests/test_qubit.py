@@ -221,6 +221,22 @@ def test_bloch_affine_shape_validation():
         affine.transform(np.zeros(2))
 
 
+def test_bloch_affine_fields_are_read_only_copies():
+    lin, vec = np.eye(3), np.arange(3.0)
+    affine = BlochAffine(lin, vec)
+    lin[0, 0], vec[0] = 5.0, 5.0
+    assert np.array_equal(affine.t_lin, np.eye(3))
+    assert np.array_equal(affine.t_vec, np.arange(3.0))
+    for field in (affine.t_lin, affine.t_vec):
+        assert field.dtype == np.float64 and not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0] = 1.0
+    # An input that is already a read-only float array is still copied.
+    frozen = np.eye(3)
+    frozen.setflags(write=False)
+    assert not np.shares_memory(BlochAffine(frozen, vec).t_lin, frozen)
+
+
 def test_image_stays_inside_the_ball_for_random_channels():
     # Affine images of valid states are valid states, so |w_out| <= 1.
     rng = np.random.default_rng(41)
