@@ -44,6 +44,7 @@ from .extremal import (
 from .qubit import NuParams, bloch_affine, channel_from_nu, ellipsoid_samples, predicted_translation
 from .serialize import (
     _dumps,
+    _loads,
     dump_channel,
     dump_state,
     matrix_to_doc,
@@ -61,8 +62,8 @@ MAX_SAMPLE_N = 64
 # Largest ``jacobian --n``.  The ``--step`` path sets it: its full real
 # embedding is 2 N^4 x (N^2 - N) floats, so memory grows as N^6, and N=16
 # takes about 1.8-2.1 s and 518 MB (the embedding and the SVD's copy of it).
-# The exact path takes about 0.2 s and 36 MB at N=16 (measured as for
-# MAX_SAMPLE_N).
+# The exact path runs no decomposition at N=16: about 0.13 s and 35 MB,
+# the same as ``sample --n 2`` (measured as for MAX_SAMPLE_N).
 MAX_JACOBIAN_N = 16
 # Largest ``bloch --count``: two (count, 3) float arrays and a CSV file of
 # about 110 bytes per point.
@@ -180,7 +181,7 @@ def _cmd_build(args) -> int:
         ch = channel_from_nu(p)
         meta = {"nu1": p.nu1, "nu2": p.nu2}
     elif args.params is not None:
-        params = _params_from_doc(json.loads(Path(args.params).read_text()))
+        params = _params_from_doc(_loads(Path(args.params).read_text()))
         ch = build_extremal(params)
         meta = {"n": params.n}
     else:

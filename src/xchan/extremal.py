@@ -180,46 +180,37 @@ def parameter_jacobian_rank(
     equals N^2 - N, the family's parameter count.  The rank counts the
     singular values above ``rank_tol`` times the largest.
 
-    ``step=None`` (the default) takes the exact Jacobian in its
-    block-arrow form.  The canonical U_i are permutation matrices whose
-    supports partition the N^2 positions, so every Choi support entry
-    (p, q) with p <= q belongs to exactly one operator i and equals
-    d_{i,m} d_{i,m'} with m <= m'.  Every other row of the full real
-    embedding is zero or equal to one of these (J is real and
-    symmetric), so it leaves the rank alone.  Order the rows by
-    operator and the columns by free diagonal: each of the first N-1
-    diagonals moves only its own operator's entries, and the completed
-    last one, d_{N,m} = sqrt(1 - sum_{i<N} s_{i,m}), moves its entries
-    against all of them:
+    ``step=None`` (the default) proves the rank instead of computing it.
+    The canonical U_i are permutation matrices whose supports partition the
+    N^2 positions, so every Choi support entry (p, q) with p <= q belongs
+    to exactly one operator i and equals d_{i,m} d_{i,m'} with m <= m'
+    (``_exact_jacobian`` builds these rows; the other rows of the full
+    real embedding are zero or repeat one of them).  Ordered by operator
+    and by free diagonal, the exact Jacobian is
 
         Jac = [blockdiag(B_0, ..., B_{N-2}); -B_{N-1} [I ... I]],
         B_i[(m, m'), c] = [c = m] d_{i,m'} / (2 d_{i,m})
-                        + [c = m'] d_{i,m} / (2 d_{i,m'}).
+                        + [c = m'] d_{i,m} / (2 d_{i,m'}),
 
-    Each B_i is N(N+1)/2 x N and does not depend on the permutations.  One
-    batched QR gives B_i = Q_i R_i, so Jac = blockdiag(Q_0 ... Q_{N-1}) M
-    with M = [blockdiag(R_0 ... R_{N-2}); -R_{N-1} [I ... I]].  The Q_i
-    have orthonormal columns, so Jac and M have the same singular values:
-    those of the N^2 x (N^2 - N) matrix M, 64 x 56 at N=8 and 256 x 240 at
-    N=16, instead of the 288 x 56 and 2176 x 240 support rows
-    (``_exact_jacobian``, which builds those rows for any unitaries).
+    since each of the first N-1 diagonals moves only its own operator's
+    entries and the completed last one, d_{N,m} = sqrt(1 - sum_{i<N}
+    s_{i,m}), moves its entries against all of them.  The entry (m, m) of
+    operator i < N-1 is s_{i,m} itself and moves with no other parameter,
+    so Jac holds a unit row for every column: Jac^T Jac >= I and every
+    singular value is >= 1.  The largest
+    is at most ||Jac||_F, which is closed form in r = d^2:
 
-    Before any SVD, the R factors certify full rank.  With
-    D = blockdiag(R_0 ... R_{N-2}), M^T M = D^T D + (a PSD term from the
-    last row of blocks), so sigma_min(M) >= min_i sigma_min(R_i) >=
-    lo = min_{i<N-1} 1/||R_i^-1||_F.  And s_0 <= ||M||_F = hi =
-    sqrt(sum_{i<N-1} ||R_i||_F^2 + (N-1) ||R_{N-1}||_F^2).  If lo exceeds
-    ``rank_tol`` times hi, every singular value is above the cutoff and
-    the rank is N^2 - N with no SVD.  Otherwise M is assembled and its
-    singular values counted.  The certificate holds at every interior
-    point in practice: the rows (m, m) of each B_i are those of the
-    identity (dJ_mm/ds_{i,m} = 1), so B_i and R_i have singular values
-    >= 1 and every R_i is invertible.  lo and hi are computed from the
-    factors, not from that argument; the worst lo/hi over 200 sampled
-    interior points is 0.12, 0.066, 0.021 and 0.0076 at N = 3, 4, 8 and
-    16, against the default cutoff of 1e-6.  Since lo <= sigma_min <=
-    ||M||_F / sqrt(N^2 - N), a ``rank_tol`` above 1/sqrt(2) always takes
-    the SVD.
+        ||B_i||_F^2 = N + ((sum_m r_{i,m}) (sum_m 1/r_{i,m}) - N) / 4,
+        ||Jac||_F^2 = sum_{i<N-1} ||B_i||_F^2 + (N-1) ||B_{N-1}||_F^2.
+
+    So whenever ``rank_tol`` * ||Jac||_F < 1 the rank is N^2 - N, with no
+    decomposition.  Interior entries exceed INTERIOR_MARGIN = 1e-3, so
+    r_{i,m} lies in (1e-6, 1) and ||Jac||_F^2 < (2N - 2)(N + N^2 / 4e-6):
+    at the default cutoff 1e-6 the product stays below 0.05 at N=16 and
+    below 1 up to N=126, so the default never decomposes.  Otherwise the
+    singular values of the exact Jacobian are counted.  Since ||Jac||_F >=
+    sqrt(N^2 - N) >= sqrt(2), a ``rank_tol`` of 1/sqrt(2) or more always
+    counts them.
 
     A float ``step`` takes central differences of the full embedding with
     that step instead, an independent check on the closed form; both give
@@ -243,16 +234,13 @@ def parameter_jacobian_rank(
         raise ValidationError("parameters must be strictly interior")
     n = params.n
     if step is None:
-        r = _block_factors(d)
-        lo, hi = _rank_bounds(r)
-        if lo > rank_tol * hi:
+        if rank_tol * _jacobian_norm(d) < 1.0:
             return n * n - n
-        jac = _block_arrow(r)
+        jac = _exact_jacobian(d, canonical_unitaries(n))
     else:
         jac = _difference_jacobian(d, canonical_unitaries(n), step)
+    # A zero Jacobian counts nothing: no s exceeds 0.
     s = np.linalg.svd(jac, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.sum(s > rank_tol * s[0]))
 
 
@@ -345,39 +333,13 @@ def _exact_jacobian(d: np.ndarray, unitaries) -> np.ndarray:
     return jac
 
 
-def _block_factors(d: np.ndarray) -> np.ndarray:
-    # The (N, N, N) stack of R factors of the per-operator blocks B_i of
-    # ``parameter_jacobian_rank``, from one batched QR.
+def _jacobian_norm(d: np.ndarray) -> float:
+    # ||Jac||_F of the exact Jacobian in ``parameter_jacobian_rank``'s closed
+    # form, r = d^2 > 0.
     n = d.shape[0]
-    a, b = np.triu_indices(n)
-    rows = np.arange(a.size)
-    blocks = np.zeros((n, a.size, n))
-    blocks[:, rows, a] = 0.5 * d[:, b] / d[:, a]
-    blocks[:, rows, b] += 0.5 * d[:, a] / d[:, b]
-    return np.linalg.qr(blocks, mode="r")
-
-
-def _rank_bounds(r: np.ndarray) -> tuple[float, float]:
-    # (lo, hi) of ``parameter_jacobian_rank``'s certificate from the R
-    # factors: lo = min_{i<N-1} 1/||R_i^-1||_F <= sigma_min(M) and
-    # hi = ||M||_F >= s_0.  Each R_i is invertible: B_i holds the identity
-    # rows (m, m), so its singular values, and R_i's, are >= 1.
-    n = len(r)
-    lo = 1.0 / np.sqrt(np.max(np.sum(np.linalg.inv(r[:-1]) ** 2, axis=(1, 2))))
-    norms = np.sum(r**2, axis=(1, 2))
-    hi = np.sqrt(np.sum(norms[:-1]) + (n - 1) * norms[-1])
-    return float(lo), float(hi)
-
-
-def _block_arrow(r: np.ndarray) -> np.ndarray:
-    # The R factors of the blocks B_i, placed as the B_i are in the exact
-    # Jacobian: [blockdiag(R_0 .. R_{N-2}); -R_{N-1} [I .. I]].
-    n = len(r)
-    m = np.zeros((n, n, n - 1, n))
-    ops = np.arange(n - 1)
-    m[ops, :, ops, :] = r[:-1]
-    m[-1] = -r[-1][:, None, :]
-    return m.reshape(n * n, n * n - n)
+    r = d**2
+    blocks = n + 0.25 * (r.sum(axis=1) * (1.0 / r).sum(axis=1) - n)
+    return float(np.sqrt(blocks[:-1].sum() + (n - 1) * blocks[-1]))
 
 
 def _difference_jacobian(d: np.ndarray, unitaries, step: float) -> np.ndarray:

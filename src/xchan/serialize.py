@@ -11,7 +11,8 @@ parse -> serialize -> parse is the identity on values.
 Every JSON number passes one test, ``_is_finite_number``; matrices and other
 number tables are decoded by ``numbers_from_doc``.  Schema violations raise
 SchemaError naming the offending field; malformed JSON raises
-json.JSONDecodeError (with position) from the parser itself.
+json.JSONDecodeError (with position) from the parser itself.  Every
+document is decoded by ``_loads``.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def state_from_doc(doc: Any) -> DensityMatrix:
 
 def parse_channel(text: str, require_tp: bool = True) -> KrausChannel:
     """Parse a channel from JSON text; see ``channel_from_doc``."""
-    return channel_from_doc(json.loads(text), require_tp=require_tp)
+    return channel_from_doc(_loads(text), require_tp=require_tp)
 
 
 def dump_channel(ch: KrausChannel, metadata: dict | None = None) -> str:
@@ -138,7 +139,7 @@ def dump_channel(ch: KrausChannel, metadata: dict | None = None) -> str:
 
 
 def parse_state(text: str) -> DensityMatrix:
-    return state_from_doc(json.loads(text))
+    return state_from_doc(_loads(text))
 
 
 def dump_state(rho: DensityMatrix) -> str:
@@ -151,6 +152,16 @@ def _dumps(doc: dict) -> str:
     ``indent`` the ``json`` C encoder runs, several times faster than the
     pure-Python one that ``indent`` selects."""
     return json.dumps(doc, separators=(",", ":"))
+
+
+def _loads(text: str) -> Any:
+    """The one decoder of every document.  Nesting deeper than the parser's
+    recursion limit is a schema violation of the whole document, not a
+    crash."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError("$", "document is nested too deeply") from None
 
 
 def _read_dim(doc: dict) -> int:

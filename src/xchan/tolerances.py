@@ -56,8 +56,8 @@ INTERIOR_MARGIN = 1e-3
 
 # Jacobian rank: relative singular-value cutoff.  The exact Jacobian is
 # accurate to round-off; central differences at step 1e-5 leave noise
-# around 1e-9 of scale.  Both sit far below this.  The exact path's
-# full-rank certificate (``parameter_jacobian_rank``) needs a lower bound on
-# s_min / s_0 above this: over sampled interior points it is at least
-# 0.0076 at N=16, so the default never reaches the SVD there.
+# around 1e-9 of scale.  Both sit far below this.  The exact Jacobian's
+# singular values are all >= 1 (``parameter_jacobian_rank``), so the
+# default reaches its SVD only if 1e-6 * ||Jac||_F >= 1; interior entries
+# keep that product below 0.05 at N=16.
 JACOBIAN_RANK_TOL = 1e-6

@@ -1,8 +1,10 @@
 """What the package built is not derived or gated twice, and gives the same
 values as if it were.
 
-- The exact Jacobian's full rank is certified from its block factors before
-  any SVD; the count equals the SVD's at every cutoff.
+- The exact Jacobian's full rank is proved, not computed: every singular
+  value is at least 1 and the largest is at most its closed-form Frobenius
+  norm, so the default cutoff runs no decomposition; the count equals the
+  SVD's at every cutoff.
 - Values the package builds itself (sampled diagonals and channels, random
   states, ``kraus_from_choi``'s operators, ``stinespring``'s model) skip
   their class's gate, and are bitwise what the gate would have stored,
@@ -31,12 +33,11 @@ from xchan.errors import ValidationError
 from xchan.extremal import (
     JACOBIAN_RANK_TOL,
     ExtremalParams,
-    _block_arrow,
-    _block_factors,
     _choi_embedding,
     _dirichlet_diagonals,
     _difference_jacobian,
-    _rank_bounds,
+    _exact_jacobian,
+    _jacobian_norm,
     build_extremal,
     canonical_unitaries,
     parameter_jacobian_rank,
@@ -58,15 +59,49 @@ from xchan.tolerances import TOL_RANK
 all_dims = pytest.mark.parametrize("n", range(2, 17))
 
 
+def exact_singular_values(params: ExtremalParams) -> np.ndarray:
+    jac = _exact_jacobian(params.diagonals, canonical_unitaries(params.n))
+    return np.linalg.svd(jac, compute_uv=False)
+
+
 def svd_count(n: int, seed: int, cutoffs) -> list[int]:
-    """The SVD's rank of the block-arrow matrix at each relative cutoff."""
-    m = _block_arrow(_block_factors(sample_interior(n, seed).diagonals))
-    s = np.linalg.svd(m, compute_uv=False)
+    """The SVD's rank of the exact Jacobian at each relative cutoff."""
+    s = exact_singular_values(sample_interior(n, seed))
     return [int(np.sum(s > t * s[0])) for t in cutoffs]
 
 
+# Just inside INTERIOR_MARGIN = 1e-3, the smallest entry the Jacobian takes.
+MARGIN_ENTRY = 1.0011e-3
+
+
+def spiky_diagonals(n: int, seed: int) -> ExtremalParams:
+    """Sparse Dirichlet columns (concentration 0.05), lifted just enough
+    that no entry reaches 1 - INTERIOR_MARGIN."""
+    floor = 0.0021 / (n - 1)
+    draws = np.random.default_rng(seed).dirichlet(np.full(n, 0.05), size=n).T
+    return ExtremalParams(np.sqrt(floor + (1.0 - n * floor) * draws))
+
+
+def margin_corner(n: int, seed: int) -> ExtremalParams:
+    """Each column holds one entry at 0.9989, one that completes it, and
+    N - 2 at MARGIN_ENTRY, in rows drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    squares = np.full((n, n), MARGIN_ENTRY**2)
+    for m in range(n):
+        big, mid = rng.choice(n, 2, replace=False)
+        squares[big, m] = 0.9989**2
+        squares[mid, m] = 1.0 - 0.9989**2 - (n - 2) * MARGIN_ENTRY**2
+    return ExtremalParams(np.sqrt(squares))
+
+
+def jacobian_points(n: int) -> list[ExtremalParams]:
+    """Sampled, spiky and margin-corner interior points."""
+    kinds = (sample_interior, spiky_diagonals, margin_corner)
+    return [kind(n, seed) for seed in range(4) for kind in kinds]
+
+
 # ---------------------------------------------------------------------------
-# The full-rank certificate.
+# The full-rank proof.
 
 CUTOFFS = (JACOBIAN_RANK_TOL, 1e-3, 0.9)
 
@@ -87,52 +122,52 @@ def test_the_certificate_never_claims_more_than_the_svd(n):
     # and then one less, whichever path counts it.
     for seed in range(3):
         params = sample_interior(n, 40 + seed)
-        s = np.linalg.svd(_block_arrow(_block_factors(params.diagonals)), compute_uv=False)
+        s = exact_singular_values(params)
         ratio = s[-1] / s[0]
         assert parameter_jacobian_rank(params, rank_tol=ratio * (1 - 1e-9)) == n * n - n
         assert parameter_jacobian_rank(params, rank_tol=ratio * (1 + 1e-9)) == n * n - n - 1
 
 
 @all_dims
-def test_the_certificate_bounds_are_the_documented_ones(n):
-    for seed in range(3):
-        r = _block_factors(sample_interior(n, 70 + seed).diagonals)
-        m = _block_arrow(r)
-        s = np.linalg.svd(m, compute_uv=False)
-        lo, hi = _rank_bounds(r)
-        lows = [1.0 / np.linalg.norm(np.linalg.inv(r_i), "fro") for r_i in r[:-1]]
-        assert lo == pytest.approx(min(lows), rel=1e-12)
-        assert hi == pytest.approx(np.linalg.norm(m, "fro"), rel=1e-12)
-        assert lo <= s[-1] and s[0] <= hi
-
-
-def test_two_nearly_singular_factors_refuse_the_certificate():
-    # x = (e, -e, 0, ...) misses the last row of blocks, so
-    # ||M x||^2 = ||R_0 e||^2 + ||R_1 e||^2: tiny when R_0 and R_1 are.
-    r = _block_factors(sample_interior(4, 1).diagonals)
-    r[:2] *= 1e-8
-    lo, hi = _rank_bounds(r)
-    assert not lo > JACOBIAN_RANK_TOL * hi
-    s = np.linalg.svd(_block_arrow(r), compute_uv=False)
-    assert np.sum(s > JACOBIAN_RANK_TOL * s[0]) < 12
-
-
-def svd_refused(*args, **kwargs):
-    raise AssertionError("the SVD ran")
+def test_every_singular_value_of_the_exact_jacobian_is_at_least_one(n):
+    # The rows (m, m) of the first N-1 operators are the identity's.
+    for params in jacobian_points(n):
+        assert exact_singular_values(params)[-1] >= 1.0
 
 
 @all_dims
+def test_the_closed_form_norm_is_the_exact_jacobians(n):
+    for params in jacobian_points(n):
+        jac = _exact_jacobian(params.diagonals, canonical_unitaries(n))
+        assert _jacobian_norm(params.diagonals) == pytest.approx(
+            np.linalg.norm(jac), rel=1e-12
+        )
+
+
+def refuse(name: str):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} ran")
+
+    return refused
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 64])
 def test_the_default_cutoff_needs_no_svd(n, monkeypatch):
-    monkeypatch.setattr(np.linalg, "svd", svd_refused)
-    for seed in range(20):
-        assert parameter_jacobian_rank(sample_interior(n, seed)) == n * n - n
-        assert parameter_jacobian_rank(sample_interior(n, seed), rank_tol=1e-3) == n * n - n
+    sampled = [sample_interior(n, seed) for seed in range(20)]
+    points = jacobian_points(n)
+    for name in ("svd", "qr", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    for params in sampled:
+        assert parameter_jacobian_rank(params) == n * n - n
+        assert parameter_jacobian_rank(params, rank_tol=1e-3) == n * n - n
+    for params in points:
+        assert parameter_jacobian_rank(params) == n * n - n
 
 
 def test_a_cutoff_above_one_over_root_two_takes_the_svd(monkeypatch):
-    # lo <= sigma_min <= ||M||_F / sqrt(N^2 - N) <= hi / sqrt(2).
-    monkeypatch.setattr(np.linalg, "svd", svd_refused)
-    with pytest.raises(AssertionError, match="the SVD ran"):
+    # Each column has a unit row, so ||Jac||_F >= sqrt(N^2 - N) >= sqrt(2).
+    monkeypatch.setattr(np.linalg, "svd", refuse("svd"))
+    with pytest.raises(AssertionError, match="np.linalg.svd ran"):
         parameter_jacobian_rank(sample_interior(2, 1), rank_tol=0.9)
 
 

@@ -351,6 +351,27 @@ def test_integers_beyond_double_range_are_parse_errors(
     assert "Traceback" not in err
 
 
+# Well-formed, but nested beyond the JSON parser's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["check", "apply", "build", "dilate"])
+def test_deeply_nested_documents_are_parse_errors(tmp_path, channel_file, command, capsys):
+    ch_path, _ = channel_file
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    argv = {
+        "check": ["check", str(path)],
+        "apply": ["apply", "--channel", str(ch_path), "--state", str(path)],
+        "build": ["build", "--params", str(path)],
+        "dilate": ["dilate", str(path)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $: document is nested too deeply\n"
+
+
 def test_tolerance_override_relaxes_the_check(tmp_path, monkeypatch, capsys):
     # Perturb one operator so completeness fails at 1e-9 but not at 1e-3.
     _, ch = sample_extremal(2, seed=19)

@@ -18,8 +18,6 @@ from xchan.errors import (
 from xchan.extremal import (
     JACOBIAN_RANK_TOL,
     ExtremalParams,
-    _block_arrow,
-    _block_factors,
     _difference_jacobian,
     _exact_jacobian,
     build_extremal,
@@ -113,7 +111,7 @@ def test_canonical_unitaries_are_fresh_arrays():
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_canonical_unitaries_partition_the_positions(n):
-    # The block-arrow Jacobian rests on this: every position (r, c) holds an
+    # The Jacobian's full-rank proof rests on this: every position (r, c) holds an
     # exact 1 in one U_i and an exact 0 in every other.
     us = np.asarray(canonical_unitaries(n))
     assert np.all((us == 0) | (us == 1))
@@ -317,22 +315,6 @@ def test_exact_jacobian_of_complex_unitaries_matches_differences(n, haar_unitary
     assert np.max(np.abs(full - diff)) < 1e-6 * np.max(np.abs(diff))
     s = np.linalg.svd(exact, compute_uv=False)
     assert np.sum(s > JACOBIAN_RANK_TOL * s[0]) == n * n - n
-
-
-@pytest.mark.parametrize("n", range(2, 17))
-def test_block_arrow_reduction_keeps_the_exact_singular_values(n):
-    for seed in range(3):
-        d = sample_interior(n, seed=500 + seed).diagonals
-        reduced = _block_arrow(_block_factors(d))
-        assert reduced.shape == (n * n, n * n - n)
-        s = np.linalg.svd(reduced, compute_uv=False)
-        exact = np.linalg.svd(
-            _exact_jacobian(d, canonical_unitaries(n)), compute_uv=False
-        )
-        assert s.size == exact.size
-        assert np.max(np.abs(s - exact)) <= 1e-12 * exact[0]
-        cut = JACOBIAN_RANK_TOL
-        assert np.sum(s > cut * s[0]) == np.sum(exact > cut * exact[0])
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf, -math.inf])
