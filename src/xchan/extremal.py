@@ -17,6 +17,7 @@ that underlies this absorption as a verification utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,7 +84,7 @@ def canonical_unitaries(n: int) -> list[np.ndarray]:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return list(_canonical_stack(n))
+    return list(_canonical_stack(n).copy())
 
 
 def complete_last_diagonal(partials) -> ExtremalParams:
@@ -283,15 +284,17 @@ def pair_reduction_step(
     return m, reduced
 
 
+@lru_cache(maxsize=16)
 def _canonical_stack(n: int) -> np.ndarray:
-    """The (n, n, n) complex128 stack of ``canonical_unitaries(n)``, n >= 2."""
+    """The (n, n, n) complex128 stack of ``canonical_unitaries(n)``, n >= 2,
+    made once per n and read-only."""
     if n in _PERMUTATIONS:
         rows = np.array(_PERMUTATIONS[n])
     else:
         # S^i e_m = e_{m+i}, so row r of S^i is the unit row e_{(r-i) mod n}.
         r = np.arange(n)
         rows = (r[None, :] - r[:, None]) % n
-    return np.eye(n, dtype=complex)[rows]
+    return _frozen(np.eye(n, dtype=complex)[rows])
 
 
 def _dirichlet_diagonals(n: int, seed: int) -> np.ndarray:

@@ -23,15 +23,16 @@ channel ``C_i = U_i D_i`` with permutation ``U_i`` splits so: its N^2 x N^2
 pattern is one N x N block per operator.  Below the gates the pattern
 search costs more than the smaller calls save.  The groups of one shape are
 gathered into one (g, a, b) array, the whole matrix as the view
-``m[None]``, and decomposed by one batched call.  The results are merged
-the same way for one group or many.  Each group's eigenvalues are reversed
-to descending order and all are merged by a stable sort, so exact ties keep
-the group order; each eigenvector is scattered to its group's indices
-(``kraus_from_choi`` asks only for those of the eigenvalues above its
-cutoff).  Every singular value is compared with the largest of all, and
-each group's complement columns are placed on its rows.  Inside a
-degenerate eigenspace the eigenvectors of a split matrix may differ from
-those of one ``eigh`` of the whole.
+``m[None]``, and decomposed by one batched call.  One group takes that
+call's output as it is: its eigenvalues and eigenvectors reversed to
+descending order, its complement a slice of the QR factor.  Several groups
+are merged: each group's eigenvalues are reversed and all are merged by a
+stable sort, so exact ties keep the group order; each eigenvector is
+scattered to its group's indices, and ``kraus_from_choi`` asks only for
+those of the eigenvalues above its cutoff.  Every singular value is
+compared with the largest of all, and each group's complement columns are
+placed on its rows.  Inside a degenerate eigenspace the eigenvectors of a
+split matrix may differ from those of one ``eigh`` of the whole.
 
 Every entry outside the groups is an exact zero, since a nonzero entry, NaN
 included, joins its row and its column.  So the Hermitian gate reads the
@@ -44,7 +45,6 @@ the matrix's: the groups are then decomposed in real arithmetic
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -258,33 +258,40 @@ def _herm_eig(h, above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     ``above`` when it is given: every eigenvalue, descending, and an
     (n, kept) complex128 array of the leading eigenvectors.
 
-    Each kept eigenvector is scattered to its group's indices, so the
-    support of every column lies inside one group.
+    One group's are its reversed ``eigh`` columns.  Otherwise each kept
+    eigenvector is scattered to its group's indices, so the support of
+    every column lies inside one group.
     """
     groups, parts = _checked_hermitian(h, _BLOCK_MIN_DIM)
     pairs = [np.linalg.eigh(b) for b in parts]
     w, order = _descending([wb for wb, _ in pairs])
     kept = w.size if above is None else int(np.count_nonzero(w > above))
+    if groups is None:
+        return w, pairs[0][1][0, :, ::-1][:, :kept].astype(complex)
     # dest[e] is the column that the e-th eigenvalue, in group order, lands
-    # in; every eigenvector that is not kept lands in the spare column kept.
-    dest = np.minimum(order.argsort(), kept)
-    v = np.zeros((w.size, kept + 1), dtype=complex)
+    # in; eigenvalue e of a group is its eigh column -1 - e.
+    dest = order.argsort()
+    v = np.zeros((w.size, kept), dtype=complex)
     start = 0
     for (ix, _), (_, vb) in zip(groups, pairs):
         cols = dest[start:start + ix.size].reshape(ix.shape)
         start += ix.size
-        v[ix[:, :, None], cols[:, None, :]] = vb[:, :, ::-1]
-    return w, v[:, :kept]
+        g, e = np.nonzero(cols < kept)
+        v[ix[g], cols[g, e, None]] = vb[g, :, -1 - e]
+    return w, v
 
 
-def _descending(ws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _descending(ws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
     """The eigenvalues of every group, descending, and the order that sorts
     their concatenation in group order into it.
 
     Each group's ascending ``eigh`` output is reversed first, and the stable
     sort keeps exact ties in that order: group by group, and inside a group
-    in reversed ``eigh`` order.  One group is already in order.
+    in reversed ``eigh`` order.  One group is already in order: its
+    reversed output is returned as it is, with no order.
     """
+    if len(ws) == len(ws[0]) == 1:
+        return ws[0][0, ::-1], None
     w = np.concatenate([wb[:, ::-1] for wb in ws], axis=None)
     order = (-w).argsort(kind="stable")
     return w[order], order
@@ -306,12 +313,15 @@ def _complement_basis(v: np.ndarray) -> np.ndarray:
     ``v`` is an (m, p) matrix with orthonormal columns; returns the (m, m-p)
     matrix whose columns complete them to an orthonormal basis, real when
     ``v`` is exactly real.  The groups are decided on m, the side of the
-    unitary being completed.  Each (a, b) group of ``v`` contributes the
-    last a-b columns of its own complete QR factor, supported on its rows,
-    and every row in no group (a zero row of a split ``v``) a unit column.
+    unitary being completed.  One group's are the last m-p columns of its
+    complete QR factor.  Otherwise each (a, b) group of ``v`` contributes
+    the last a-b columns of its own, supported on its rows, and every row
+    in no group (a zero row of a split ``v``) a unit column.
     """
     m, p = v.shape
     groups, parts = _grouped(v, m, _BLOCK_MIN_UNITARY_DIM)
+    if groups is None:
+        return np.linalg.qr(parts[0], mode="complete")[0][0, :, p:]
     out = np.zeros((m, m - p), dtype=parts[0].dtype)
     start = 0
     for (rows, cols), b in zip(groups, parts):
@@ -337,7 +347,7 @@ def _unitarity_residual(u: np.ndarray) -> float:
     entry 0: a residual of 1.0.
     """
     groups, parts = _grouped(u, len(u), _BLOCK_MIN_UNITARY_DIM)
-    res = 1.0 if sum(cols.size for _, cols in groups) < len(u) else 0.0
+    res = 1.0 if groups and sum(cols.size for _, cols in groups) < len(u) else 0.0
     for b in parts:
         # Contiguous, so that a real b^T b is one symmetric BLAS product.
         b = np.ascontiguousarray(b)
@@ -353,9 +363,9 @@ def _grouped(m: np.ndarray, size: int, gate: float, hermitian: bool = False) -> 
     ``groups`` holds ``(rows, cols)`` pairs as ``_components`` gives them,
     and ``parts`` the blocks ``m[rows, cols]`` of each, one (g, a, b) array
     per group shape, under ``_real_if_exact``.  The whole matrix is the one
-    group ``([[0 .. r-1]], [[0 .. c-1]])``, gathered as the view ``m[None]``,
-    unless ``size`` is at least ``gate`` and the exact pattern of ``m``
-    splits into more than one block.  ``size`` is m's smaller side, or the
+    group, ``groups`` None and ``parts`` the view ``[m[None]]``, unless
+    ``size`` is at least ``gate`` and the exact pattern of ``m`` splits
+    into more than one block.  ``size`` is m's smaller side, or the
     side of the unitary that ``_complement_basis`` completes.  A
     ``hermitian`` m is split along ``_hermitian_blocks``.
     """
@@ -364,14 +374,7 @@ def _grouped(m: np.ndarray, size: int, gate: float, hermitian: bool = False) -> 
         if _splits(groups):
             parts = [m[rows[:, :, None], cols[:, None, :]] for rows, cols in groups]
             return groups, _real_if_exact(parts)
-    return _whole(*m.shape), _real_if_exact([m[None]])
-
-
-@lru_cache(maxsize=128)
-def _whole(r: int, c: int) -> tuple[tuple[np.ndarray, np.ndarray]]:
-    """The one group of an r x c matrix that is not split, made once per
-    shape."""
-    return ((_frozen(np.arange(r)[None]), _frozen(np.arange(c)[None])),)
+    return None, _real_if_exact([m[None]])
 
 
 def _real_if_exact(parts: list[np.ndarray]) -> list[np.ndarray]:

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_to_matrix
+from .channels import KrausChannel, _trusted_channel, apply_to_matrix
 from .errors import ValidationError
-from .extremal import ExtremalParams, build_extremal
 from .linalg import ID2, PAULIS, SX, SY, _frozen
 from .states import DensityMatrix, bloch_to_rho, rho_to_bloch
 
@@ -125,9 +124,14 @@ def channel_from_nu(p: NuParams) -> KrausChannel:
     root = np.sqrt((1.0 - p.nu1**2) * (1.0 - p.nu2**2))
     last_b = np.sqrt(0.5 * ((1.0 - p.nu3) + root))
     last_a = abs(p.nu1 - p.nu2) / (2.0 * last_b) if last_b else 0.0
-    params = ExtremalParams(np.array([[a, b], [last_a, last_b]]))
+    d = np.array([[a, b], [last_a, last_b]])
+    keep = np.any(d != 0.0, axis=1)
     u2 = SX if p.nu1 >= p.nu2 else SY
-    return build_extremal(params, unitaries=[ID2.copy(), u2])
+    # build_extremal(ExtremalParams(d), [ID2, u2]) without either gate: the
+    # identities 2ab = nu1 + nu2 and a^2 + b^2 = 1 + nu3 give each column's
+    # squares the sum 1 up to round-off, every entry is in [0, 1], and the
+    # kept (a, b) row makes a non-empty, finite, square complex128 stack.
+    return _trusted_channel(np.stack([ID2, u2])[keep] * d[keep, None, :])
 
 
 def bloch_affine(ch: KrausChannel) -> BlochAffine:

@@ -5,10 +5,11 @@ values as if it were.
   value is at least 1 and the largest is at most its closed-form Frobenius
   norm, so the default cutoff runs no decomposition; the count equals the
   SVD's at every cutoff.
-- Values the package builds itself (sampled diagonals and channels, random
-  states, ``kraus_from_choi``'s operators, ``stinespring``'s model) skip
-  their class's gate, and are bitwise what the gate would have stored,
-  read-only, and accepted by it.
+- Values the package builds itself (sampled diagonals and channels, the
+  qubit (nu1, nu2) channel, random states, ``kraus_from_choi``'s
+  operators, ``stinespring``'s model) skip their class's gate, and are
+  bitwise what the gate would have stored, read-only, and accepted by it.
+- The canonical permutations are made once per N, read-only.
 - On the block path of ``linalg`` the Hermitian gate reads the blocks'
   entries only, and refuses a matrix exactly as ``checked_hermitian`` does.
 - ``kraus_from_choi`` forms only the eigenvectors it keeps.
@@ -18,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xchan import linalg
 from xchan.channels import (
@@ -33,6 +36,7 @@ from xchan.errors import ValidationError
 from xchan.extremal import (
     JACOBIAN_RANK_TOL,
     ExtremalParams,
+    _canonical_stack,
     _choi_embedding,
     _dirichlet_diagonals,
     _difference_jacobian,
@@ -45,6 +49,9 @@ from xchan.extremal import (
     sample_interior,
 )
 from xchan.linalg import (
+    ID2,
+    SX,
+    SY,
     _components,
     _hermitian_blocks,
     _splits,
@@ -53,6 +60,7 @@ from xchan.linalg import (
     herm_eigvals,
     real_if_exact,
 )
+from xchan.qubit import NuParams, channel_from_nu, nu_to_diagonals
 from xchan.states import DensityMatrix, random_density
 from xchan.tolerances import TOL_RANK
 
@@ -248,6 +256,52 @@ def test_sampled_values_equal_their_gated_construction(n):
         assert same_bits(gated_model.u, model.u)
         assert gated_model.unitarity_residual == model.unitarity_residual
         assert model.env_state == 0
+
+
+@all_dims
+def test_canonical_stack_is_made_once_and_read_only(n):
+    stack = _canonical_stack(n)
+    assert _canonical_stack(n) is stack
+    assert not stack.flags.writeable
+    assert same_bits(np.asarray(canonical_unitaries(n)), stack)
+    assert all(u.flags.writeable for u in canonical_unitaries(n))
+
+
+def assert_qubit_channel_is_its_gated_construction(nu1: float, nu2: float) -> None:
+    """``channel_from_nu`` skips ``ExtremalParams`` and ``build_extremal``'s
+    gates; its stack is bitwise what they would have built."""
+    p = NuParams(nu1, nu2)
+    ch = channel_from_nu(p)
+    assert_frozen_channel(ch)
+    # Every column of ID2, SX and SY holds one entry of modulus 1, so the
+    # column sums of |C_i| are exactly the kept diagonals.
+    d = np.zeros((2, 2))
+    d[: len(ch)] = np.abs(ch.stack).sum(axis=1)
+    assert d[0].tolist() == list(nu_to_diagonals(p))
+    params = ExtremalParams(d)
+    u2 = SX if nu1 >= nu2 else SY
+    assert same_bits(build_extremal(params, unitaries=[ID2, u2]).stack, ch.stack)
+
+
+NU_GRID = [
+    (1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (0.3, 0.3), (0.7, 0.7),
+    (1e-12, 1e-12), (1e-12, 0.5), (0.5, 1e-12), (1e-12, 1.0),
+    (1 - 1e-16, 1 - 1e-16), (1 - 1e-16, 0.5), (0.5, 1 - 1e-16), (1 - 1e-16, 1e-12),
+]
+
+
+@pytest.mark.parametrize("nu1, nu2", NU_GRID)
+def test_qubit_channel_equals_its_gated_construction(nu1, nu2):
+    assert_qubit_channel_is_its_gated_construction(nu1, nu2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    nu1=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    nu2=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+def test_drawn_qubit_channels_equal_their_gated_construction(nu1, nu2):
+    assert_qubit_channel_is_its_gated_construction(nu1, nu2)
 
 
 def test_stinespring_still_gates_unitarity(monkeypatch):

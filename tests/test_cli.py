@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,36 @@ def test_deeply_nested_documents_are_parse_errors(tmp_path, channel_file, comman
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: $: document is nested too deeply\n"
+
+
+# Finite, but the squares of its entries overflow a double.
+BIG_MATRIX = "[[[1e200,0],[0,0]],[[0,0],[1e200,0]]]"
+BIG_ERROR = "expected [re, im] parts of magnitude at most 1e+150"
+
+
+@pytest.mark.parametrize("command", ["check", "apply", "dilate", "apply-state"])
+def test_overflowing_documents_are_parse_errors(tmp_path, command, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"dim":2,"kraus":[' + BIG_MATRIX + "]}")
+    big_state = tmp_path / "big_state.json"
+    big_state.write_text('{"dim":2,"rho":' + BIG_MATRIX + "}")
+    ch = tmp_path / "channel.json"
+    ch.write_text(dump_channel(sample_extremal(2, seed=7)[1]))
+    state = tmp_path / "state.json"
+    state.write_text(dump_state(random_density(2, 1)))
+    argv, field = {
+        "check": (["check", str(big)], "kraus[0][0][0]"),
+        "apply": (["apply", "--channel", str(big), "--state", str(state)], "kraus[0][0][0]"),
+        "dilate": (["dilate", str(big)], "kraus[0][0][0]"),
+        "apply-state": (["apply", "--channel", str(ch), "--state", str(big_state)], "rho[0][0]"),
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field}: {BIG_ERROR}\n"
 
 
 def test_tolerance_override_relaxes_the_check(tmp_path, monkeypatch, capsys):

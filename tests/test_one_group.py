@@ -6,7 +6,9 @@ one direct numpy call on the same matrix, in real arithmetic when the
 matrix is exactly real: at N = 2..4, at N = 6 (a 36 x 36 Choi matrix and
 product stack, just below ``_BLOCK_MIN_DIM``) and at N = 11 (a 121 x 121
 dilation, just below ``_BLOCK_MIN_UNITARY_DIM``), for sampled channels,
-which are real, and Haar-rotated ones, which are not.
+which are real, and Haar-rotated ones, which are not.  Asked for the
+eigenvectors above a cutoff only, it gives the leading reversed ``eigh``
+columns.
 
 Above the gates a sampled channel's Choi matrix splits into one block per
 operator.  The equal-weight mixture of the canonical unitaries gives every
@@ -60,7 +62,7 @@ def test_one_group_sizes_are_below_the_gates(n, haar_unitary):
             assert min(k * k, n * n) < linalg._BLOCK_MIN_DIM
 
 
-@pytest.mark.parametrize("n", [d for d in ONE_GROUP_DIMS if d <= 6])
+@pytest.mark.parametrize("n", range(2, 7))
 def test_eigendecomposition_is_the_direct_eigh(n, haar_unitary):
     for kind, ch in channels(n, haar_unitary):
         j = choi(ch)
@@ -71,6 +73,11 @@ def test_eigendecomposition_is_the_direct_eigh(n, haar_unitary):
         w_out, v_out = herm_eig(j)
         assert same_bits(w_out, w[::-1])
         assert same_bits(v_out, v[:, ::-1].astype(complex))
+        kept = int(np.count_nonzero(w > TOL_RANK))
+        assert kept == len(ch)
+        w_out, v_out = linalg._herm_eig(j, above=TOL_RANK)
+        assert same_bits(w_out, w[::-1])
+        assert same_bits(v_out, v[:, ::-1][:, :kept].astype(complex))
 
 
 @pytest.mark.parametrize("n", [d for d in ONE_GROUP_DIMS if d <= 6])

@@ -149,3 +149,24 @@ def test_state_schema_errors():
         state_from_doc([1, 2])
     doc = state_to_doc(random_density(2, 2))
     assert set(doc) == {"dim", "rho"}
+
+
+@pytest.mark.parametrize("part", [0, 1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_matrix_entries_beyond_the_magnitude_bound_are_schema_errors(part, sign):
+    # A part of 1e150 is accepted, and the next double above it refused.
+    top = np.nextafter(1e150, np.inf)
+    entry = [0.0, 0.0]
+    entry[part] = sign * 1e150
+    doc = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], entry]]
+    assert matrix_from_doc(doc, "m")[1, 1] == (sign * 1e150 if part == 0 else sign * 1e150j)
+    entry[part] = sign * top
+    with pytest.raises(SchemaError, match=r"magnitude at most 1e\+150") as err:
+        matrix_from_doc(doc, "m")
+    assert err.value.field == "m[1][1]"
+    with pytest.raises(SchemaError) as err:
+        state_from_doc({"dim": 2, "rho": doc})
+    assert err.value.field == "rho[1][1]"
+    with pytest.raises(SchemaError) as err:
+        channel_from_doc({"dim": 2, "kraus": [doc]}, require_tp=False)
+    assert err.value.field == "kraus[0][1][1]"
