@@ -221,8 +221,10 @@ def kraus_from_choi(j: np.ndarray, tol_rank: float = TOL_RANK) -> KrausChannel:
     One operator per eigenvalue above ``tol_rank``; the eigenbasis makes the
     returned operators pairwise trace orthogonal.  Only the eigenvectors of
     those eigenvalues are formed: on the block path of ``linalg`` a sampled
-    N=16 channel keeps 16 columns of 256.
+    N=16 channel keeps 16 columns of 256.  A ``tol_rank`` that is not a
+    finite number >= 0 raises ``ValueError``, as in ``check_extremal``.
     """
+    _check_rank_tol(tol_rank, "tol_rank")
     n = _choi_dim(j)
     w, v = _herm_eig(j, above=tol_rank)
     low = float(w.min())
@@ -234,11 +236,8 @@ def kraus_from_choi(j: np.ndarray, tol_rank: float = TOL_RANK) -> KrausChannel:
     # Column m of v is vec(C_m) / sqrt(w_m); un-vec each in column-major order.
     vecs = (v * np.sqrt(w[:kept])).T
     stack = vecs.reshape(-1, n, n).transpose(0, 2, 1)
-    if w[kept - 1] < 0:
-        # A negative tol_rank kept a negative eigenvalue: its operator is
-        # NaN, and the gate refuses it.
-        return KrausChannel(stack)
-    # Square and finite: each kept eigenvalue is >= 0 and v is unitary.
+    # Square and finite: each kept eigenvalue is > tol_rank >= 0 and v is
+    # unitary.
     return _trusted_channel(stack)
 
 

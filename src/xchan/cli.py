@@ -41,7 +41,7 @@ from .extremal import (
     sample_extremal,
     sample_interior,
 )
-from .qubit import NuParams, bloch_affine, channel_from_nu, ellipsoid_samples, predicted_translation
+from .qubit import NuParams, _affine_samples, bloch_affine, channel_from_nu, predicted_translation
 from .serialize import (
     _dumps,
     _loads,
@@ -247,7 +247,7 @@ def _cmd_bloch(args) -> int:
     print(f"t_vec: {affine.t_vec[0]:.17g} {affine.t_vec[1]:.17g} {affine.t_vec[2]:.17g}")
     print(f"t3 predicted: {predicted_translation(p):.17g}")
     if args.ellipsoid:
-        w_in, w_out = ellipsoid_samples(p, args.count, args.seed)
+        w_in, w_out = _affine_samples(affine, args.count, args.seed)
         with open(args.ellipsoid, "w") as fh:
             np.savetxt(
                 fh,

@@ -21,18 +21,29 @@ pattern splits into several connected components (``_components``; there
 is no tolerance); then each component is a group.  The Choi matrix of a
 channel ``C_i = U_i D_i`` with permutation ``U_i`` splits so: its N^2 x N^2
 pattern is one N x N block per operator.  Below the gates the pattern
-search costs more than the smaller calls save.  The groups of one shape are
-gathered into one (g, a, b) array, the whole matrix as the view
-``m[None]``, and decomposed by one batched call.  One group takes that
-call's output as it is: its eigenvalues and eigenvectors reversed to
-descending order, its complement a slice of the QR factor.  Several groups
-are merged: each group's eigenvalues are reversed and all are merged by a
-stable sort, so exact ties keep the group order; each eigenvector is
-scattered to its group's indices, and ``kraus_from_choi`` asks only for
-those of the eigenvalues above its cutoff.  Every singular value is
-compared with the largest of all, and each group's complement columns are
-placed on its rows.  Inside a degenerate eigenspace the eigenvectors of a
-split matrix may differ from those of one ``eigh`` of the whole.
+search costs more than the smaller calls save.
+
+Each distinct split pattern is searched once per process: its read-only
+groups are kept, keyed by its shape and its packed bits, for the last
+``_COMPONENTS_CACHE_SIZE`` (16) patterns.  Every sampled channel at one N
+has the same Choi, product-stack, isometry and dilation patterns, so
+``choi_min_eigenvalue``, ``kraus_from_choi``, ``check_extremal`` and
+``stinespring`` repeat no search.  The keys retain at most 16 x (m p / 8)
+bytes; at the CLI's ``sample --n 64`` cap one 4096 x 4096 Choi pattern is a
+2 MB key.
+
+The groups of one shape are gathered into one (g, a, b) array, the whole
+matrix as the view ``m[None]``, and decomposed by one batched call.  One
+group takes that call's output as it is: its eigenvalues and eigenvectors
+reversed to descending order, its complement a slice of the QR factor.
+Several groups are merged: each group's eigenvalues are reversed and all
+are merged by a stable sort, so exact ties keep the group order; each
+eigenvector is scattered to its group's indices, and ``kraus_from_choi``
+asks only for those of the eigenvalues above its cutoff.  Every singular
+value is compared with the largest of all, and each group's complement
+columns are placed on its rows.  Inside a degenerate eigenspace the
+eigenvectors of a split matrix may differ from those of one ``eigh`` of the
+whole.
 
 Every entry outside the groups is an exact zero, since a nonzero entry, NaN
 included, joins its row and its column.  So the Hermitian gate reads the
@@ -45,6 +56,7 @@ the matrix's: the groups are then decomposed in real arithmetic
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +84,11 @@ _BLOCK_MIN_DIM = 40
 # pattern search up to a larger size: for sampled channels ``stinespring``
 # breaks even at N k = 121 (N = 11), and the split wins from 144.
 _BLOCK_MIN_UNITARY_DIM = 128
+
+# The number of distinct split patterns whose components are kept
+# (``_pattern_components``).  A sampled channel at one N brings at most four:
+# its Choi matrix, product stack, isometry and dilation.
+_COMPONENTS_CACHE_SIZE = 16
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -397,10 +414,24 @@ def _components(nz: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     columns made contiguous, the pattern is block diagonal.  Callers with a
     complex128 matrix m pass ``m.astype(bool)``: the pattern of ``m != 0``,
     NaN included, at a third of its cost on a 256 x 256 matrix.
+
+    A split pattern is searched once per process (``_pattern_components``):
+    the same shape and bits give the same read-only groups.
     """
     m, p = nz.shape
     if nz.all():
         return [(np.arange(m)[None], np.arange(p)[None])]
+    return list(_pattern_components(nz.shape, np.packbits(nz, axis=None).tobytes()))
+
+
+@lru_cache(maxsize=_COMPONENTS_CACHE_SIZE)
+def _pattern_components(
+    shape: tuple[int, int], bits: bytes
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_components`` of the (m, p) pattern packed into ``bits`` by
+    ``np.packbits``, its arrays read-only: callers share them."""
+    m, p = shape
+    nz = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=m * p).reshape(m, p)
     # Edges (r, c); column c is node m + c.
     r, c = np.divmod(np.flatnonzero(nz), p)
     c += m
@@ -429,7 +460,7 @@ def _components(nz: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         a, b = divmod(int(code[start]), p + 1)
         if a and b:
             run = order[start:stop].reshape(-1, a + b)
-            groups.append((run[:, :a], run[:, a:] - m))
+            groups.append((_frozen(run[:, :a]), _frozen(run[:, a:] - m)))
     return groups
 
 

@@ -175,6 +175,13 @@ def ellipsoid_samples(
     lie on the image ellipsoid.  Returns ``(w_in, w_out)`` as (count, 3)
     arrays, row i of one matching row i of the other.
     """
+    return _affine_samples(bloch_affine(channel_from_nu(p)), count, seed)
+
+
+def _affine_samples(
+    affine: BlochAffine, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ellipsoid_samples`` for a channel whose affine map is ``affine``."""
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -186,7 +193,6 @@ def ellipsoid_samples(
         w_in[bad] = rng.standard_normal((int(bad.sum()), 3))
         norms = np.linalg.norm(w_in, axis=1, keepdims=True)
     w_in = w_in / norms
-    affine = bloch_affine(channel_from_nu(p))
     w_out = w_in @ affine.t_lin.T + affine.t_vec[None, :]
     return w_in, w_out
 

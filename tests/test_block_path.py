@@ -21,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xchan import linalg
-from xchan.channels import KrausChannel, choi, convex_combine, kraus_from_choi
+from xchan.channels import (
+    KrausChannel,
+    check_extremal,
+    choi,
+    choi_min_eigenvalue,
+    convex_combine,
+    kraus_from_choi,
+)
 from xchan.dilation import DilationModel, stinespring
 from xchan.errors import ValidationError
 from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
@@ -350,6 +357,15 @@ def reference_components(nz: np.ndarray) -> set:
     return found
 
 
+def component_set(groups) -> set:
+    """The groups of ``_components`` as a set of (rows, cols) tuples."""
+    return {
+        (tuple(r), tuple(c))
+        for rows, cols in groups
+        for r, c in zip(rows.tolist(), cols.tolist())
+    }
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     m=st.integers(min_value=1, max_value=12),
@@ -360,11 +376,125 @@ def reference_components(nz: np.ndarray) -> set:
 def test_components_match_breadth_first_search(m, p, density, seed):
     nz = np.random.default_rng(seed).random((m, p)) < density
     groups = _components(nz)
-    got = {
-        (tuple(r), tuple(c))
-        for rows, cols in groups
-        for r, c in zip(rows.tolist(), cols.tolist())
-    }
-    assert got == reference_components(nz)
+    assert component_set(groups) == reference_components(nz)
     shapes = [(rows.shape[1], cols.shape[1]) for rows, cols in groups]
     assert len(set(shapes)) == len(shapes)
+
+
+# ---------------------------------------------------------------------------
+# Each split pattern is searched once per process: ``_components`` keeps the
+# groups of the last ``_COMPONENTS_CACHE_SIZE`` patterns, keyed by shape and
+# packed bits.
+
+memo = linalg._pattern_components
+
+
+def as_lists(groups) -> list:
+    return [(rows.tolist(), cols.tolist()) for rows, cols in groups]
+
+
+def fresh_search(nz: np.ndarray) -> list:
+    """The groups of the uncached search body."""
+    return memo.__wrapped__(nz.shape, np.packbits(nz, axis=None).tobytes())
+
+
+def test_a_memo_hit_gives_the_groups_of_a_fresh_search():
+    j = choi(sample_extremal(8, 1)[1])
+    nz = j.astype(bool)
+    np.fill_diagonal(nz, True)
+    memo.cache_clear()
+    first = _hermitian_blocks(j)
+    second = _hermitian_blocks(j.copy())
+    assert memo.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert all(a is b for a, b in zip(first[0], second[0]))
+    assert as_lists(second) == as_lists(first) == as_lists(fresh_search(nz))
+    assert len(first) == 1 and first[0][0].shape == (8, 8)
+
+
+def test_the_memo_key_includes_the_shape():
+    # One run of bits, read as three shapes: the same packed bytes.
+    flat = np.zeros(64, dtype=bool)
+    flat[[0, 1, 5, 17, 18, 30, 33, 46, 47, 60]] = True
+    shapes = [(4, 16), (16, 4), (8, 8)]
+    assert len({np.packbits(flat.reshape(s), axis=None).tobytes() for s in shapes}) == 1
+    memo.cache_clear()
+    got = []
+    for shape in shapes:
+        nz = flat.reshape(shape)
+        groups = _components(nz)
+        assert component_set(groups) == reference_components(nz)
+        got.append(as_lists(groups))
+    assert memo.cache_info().misses == 3
+    assert got[0] != got[1] and got[0] != got[2] and got[1] != got[2]
+
+
+def test_memo_groups_are_read_only():
+    nz = np.random.default_rng(4).random((9, 7)) < 0.2
+    for groups in (_components(nz), _components(nz.copy())):
+        for rows, cols in groups:
+            for a in (rows, cols):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0
+
+
+def test_the_memo_is_bounded():
+    memo.cache_clear()
+    for i in range(200):
+        nz = np.zeros((20, 20), dtype=bool)
+        nz[np.divmod(i, 20)] = True  # one entry: 200 distinct patterns
+        _components(nz)
+    info = memo.cache_info()
+    assert info.maxsize == linalg._COMPONENTS_CACHE_SIZE == 16
+    assert info.misses == 200 and info.currsize <= info.maxsize
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5
+    ),
+    empty=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    density=st.floats(min_value=0.3, max_value=1.0),
+    seed=seeds,
+)
+def test_permuted_block_patterns_give_the_same_groups_twice(sizes, empty, density, seed):
+    rng = np.random.default_rng(seed)
+    m = sum(a for a, _ in sizes) + empty[0]
+    p = sum(b for _, b in sizes) + empty[1]
+    nz = np.zeros((m, p), dtype=bool)
+    top = left = 0
+    for a, b in sizes:
+        nz[top:top + a, left:left + b] = rng.random((a, b)) < density
+        top, left = top + a, left + b
+    nz = nz[rng.permutation(m)][:, rng.permutation(p)]
+    first, second = _components(nz), _components(nz.copy())
+    assert as_lists(first) == as_lists(second) == as_lists(fresh_search(nz))
+    assert component_set(second) == reference_components(nz)
+
+
+def large_n_chain(ch: KrausChannel) -> list[bytes]:
+    """The outputs of one ``large_n`` channel chain, as bytes."""
+    j = choi(ch)
+    result = check_extremal(ch)
+    return [
+        repr(tuple(result)).encode(),
+        np.float64(choi_min_eigenvalue(j)).tobytes(),
+        kraus_from_choi(j).stack.tobytes(),
+        stinespring(ch).u.tobytes(),
+    ]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_the_large_n_chain_gives_the_same_bits_from_a_cold_and_a_warm_memo(n):
+    channels = [sample_extremal(n, seed)[1] for seed in (1, 7)]
+    memo.cache_clear()
+    cold = [large_n_chain(ch) for ch in channels]
+    searched = memo.cache_info().misses
+    assert searched == (2 if n == 8 else 4)
+    warm = [large_n_chain(ch) for ch in channels]
+    assert memo.cache_info().misses == searched
+    assert warm == cold
+    for ch, outputs in zip(channels, cold):
+        memo.cache_clear()
+        assert large_n_chain(ch) == outputs

@@ -481,10 +481,12 @@ def test_kept_eigenvectors_give_the_full_basis_operators(n, haar_unitary):
             assert same_bits(kraus_from_choi(j, tol_rank).stack, full_eigenbasis_kraus(j, tol_rank))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_negative_tol_rank_that_keeps_a_negative_eigenvalue_is_refused():
     j = choi(sample_extremal(3, 1)[1])
     j[0, 0] -= 1e-11  # the smallest eigenvalue dips just below zero
-    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="non-finite"):
+    # Refused by the shared cutoff check before any square root is taken.
+    with pytest.raises(ValueError, match=r"^tol_rank must be a finite number >= 0, got -1\.0$"):
         kraus_from_choi(j, tol_rank=-1.0)
 
 

@@ -461,7 +461,7 @@ def _refuse(*args, **kwargs):
         (
             ["bloch", "--nu1", "0.8", "--nu2", "0.5", "--ellipsoid", "x.csv",
              "--count", str(MAX_BLOCH_COUNT + 1)],
-            ("ellipsoid_samples", "channel_from_nu"),
+            ("_affine_samples", "channel_from_nu"),
         ),
         (["sample", "--n", "1000000000", "--seed", "0"], ("sample_extremal",)),
     ],

@@ -19,6 +19,8 @@ from xchan.channels import (
     apply_to_matrix,
     check_extremal,
     check_trace_preserving,
+    choi,
+    kraus_from_choi,
 )
 from xchan.dilation import DilationModel, stinespring
 from xchan.errors import NotHermitianError, NotTracePreservingError
@@ -124,12 +126,14 @@ def test_non_trace_preserving_channels_raise_with_the_check_residual(call):
 RANK_CUTOFFS = {
     "check_extremal": lambda t: check_extremal(sample_extremal(3, 1)[1], tol_rank=t),
     "matrix_rank": lambda t: matrix_rank([ID2, SX], tol_rank=t),
+    "kraus_from_choi": lambda t: kraus_from_choi(choi(sample_extremal(3, 1)[1]), tol_rank=t),
     "parameter_jacobian_rank": lambda t: parameter_jacobian_rank(sample_interior(3, 1), rank_tol=t),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", RANK_CUTOFFS)
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-3, -1e-300])
 def test_a_rank_cutoff_that_is_not_finite_and_non_negative_is_refused(name, tol):
     word = "rank_tol" if name == "parameter_jacobian_rank" else "tol_rank"
     with pytest.raises(ValueError) as info:

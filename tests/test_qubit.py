@@ -14,6 +14,7 @@ from xchan.linalg import ID2, SX
 from xchan.qubit import (
     BlochAffine,
     NuParams,
+    _affine_samples,
     bloch_affine,
     channel_from_nu,
     ellipsoid_samples,
@@ -209,6 +210,25 @@ def test_ellipsoid_samples_validation_and_determinism():
     b_in, b_out = ellipsoid_samples(NuParams(0.5, 0.5), count=7, seed=9)
     assert np.array_equal(a_in, b_in)
     assert np.array_equal(a_out, b_out)
+
+
+@pytest.mark.parametrize(
+    "nu1,nu2",
+    [(0.6, 0.6), (1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (1e-12, 1e-12), (1e-12, 0.7), (0.8, 0.5), (0.3, 0.7)],
+)
+def test_samples_from_a_held_affine_map_are_the_ellipsoid_samples(nu1, nu2):
+    """``xchan bloch`` passes the affine map it already holds; the points
+    are the bits ``ellipsoid_samples`` gives, and those of its own steps."""
+    p = NuParams(nu1, nu2)
+    affine = bloch_affine(channel_from_nu(p))
+    for count, seed in ((1, 0), (200, 7), (1000, 123)):
+        w_in, w_out = _affine_samples(affine, count, seed)
+        ref_in, ref_out = ellipsoid_samples(p, count, seed)
+        assert w_in.tobytes() == ref_in.tobytes() and w_out.tobytes() == ref_out.tobytes()
+        draws = np.random.default_rng(seed).standard_normal((count, 3))
+        draws = draws / np.linalg.norm(draws, axis=1, keepdims=True)
+        assert w_in.tobytes() == draws.tobytes()
+        assert w_out.tobytes() == (draws @ affine.t_lin.T + affine.t_vec[None, :]).tobytes()
 
 
 def test_bloch_affine_shape_validation():
