@@ -12,7 +12,9 @@ gate of trace preservation reads that value.  Every operation here is one
 or two batched numpy calls on that array: the completeness and unitality
 sums are single matrix products of its ``(k N, N)`` and ``(N, k N)``
 reshapes, trace orthogonality reads the Gram matrix of the flattened
-operators, and the Choi matrix is one product of the column-major vec stack.
+operators, and the Choi matrix is one product of the column-major vec stack,
+or, for operators with disjoint supports, the sum of their outer products
+written block by block.
 
 Choi convention: ``J = sum_{k,l} E_kl (x) B(E_kl)`` with matrix units E_kl,
 unnormalized (trace N), so trace preservation reads "partial trace of J over
@@ -34,6 +36,7 @@ from .linalg import (
     _frozen,
     _herm_eig,
     _rank,
+    _row_outer_sum,
     _trusted,
     as_complex,
     as_complex_stack,
@@ -191,11 +194,16 @@ def choi(ch: KrausChannel) -> np.ndarray:
     """Choi matrix of the channel, N^2 x N^2.
 
     Equals sum_kl E_kl (x) B(E_kl), which for Kraus operators reduces to
-    sum_i vec(C_i) vec(C_i)^dag with column-major vectorization.
+    sum_i vec(C_i) vec(C_i)^dag with column-major vectorization.  When the
+    operators' exact supports are pairwise disjoint, as for ``C_i = U_i
+    D_i`` with permutations ``U_i``, J is one rank-one block per operator;
+    from N^2 >= ``linalg._SCATTER_MIN_DIM`` those blocks are written alone
+    into a zeroed J (``linalg._row_outer_sum``), with the bits of the dense
+    product.
     """
     # Row i of w is vec(C_i): the rows of C_i^T laid end to end.
     w = real_if_exact(ch.stack).transpose(0, 2, 1).reshape(len(ch), -1)
-    return (w.T @ w.conj()).astype(complex, copy=False)
+    return _row_outer_sum(w)
 
 
 def choi_output_trace(j: np.ndarray) -> np.ndarray:

@@ -11,13 +11,16 @@ The remaining columns of u are free; they are filled with an orthonormal
 basis of the complement of V's range, so the same channel always yields
 the same u.  When V's exact zero pattern splits into blocks of rows and
 columns (for ``C_i = U_i D_i`` with permutations ``U_i``, every column of V
-is a block), the basis is completed block by block: each block's complete
-QR factor gives the columns supported on its rows, and every row of V that
-is zero gives a unit column.  A V whose pattern is one block, or with fewer
-than ``linalg._BLOCK_MIN_UNITARY_DIM`` rows, takes one complete QR of the
-whole of V.  ``DilationModel`` checks unitarity along u's pattern in the
-same way.  When V has no imaginary part the QR and the unitarity check run
-in real arithmetic; u is complex128 either way.
+is a block), u is written block by block (``linalg._split_unitary``): each
+block's V columns and the free columns of its complete QR factor, supported
+on its rows, and a unit column for every row of V that is zero.  Those
+blocks are u's own, so its unitarity residual is taken from them, with the
+bits of searching u's pattern.  A V whose pattern is one block, or with
+fewer than ``linalg._BLOCK_MIN_UNITARY_DIM`` rows, takes one complete QR of
+the whole of V, and u's residual from u (``_unitarity_residual``), as for a
+``DilationModel`` built from a given u.  When V has no imaginary part the
+QR and the unitarity check run in real arithmetic; u is complex128 either
+way.
 
 ``stinespring`` builds u finite and of the model's shape, so its model
 skips ``DilationModel``'s finiteness scan and copy: u is frozen in place.
@@ -34,7 +37,16 @@ import numpy as np
 
 from .channels import KrausChannel, require_trace_preserving
 from .errors import ValidationError
-from .linalg import _complement_basis, _frozen, _trusted, _unitarity_residual, as_complex, dagger
+from .linalg import (
+    _complement_basis,
+    _frozen,
+    _split_unitary,
+    _trusted,
+    _unitarity_residual,
+    _unitary_groups,
+    as_complex,
+    dagger,
+)
 from .states import DensityMatrix
 from .tolerances import TOL_UNITARY
 
@@ -48,7 +60,8 @@ class DilationModel:
     ``linalg._BLOCK_MIN_UNITARY_DIM`` rows up it is taken block by block
     when u's exact pattern splits: entries of u^dag u between two blocks
     are exact zeros, and an all-zero column gives 1.0, as in the dense
-    product.
+    product.  ``stinespring`` takes it from the blocks it writes u from,
+    with the same bits.
     """
 
     dim_sys: int
@@ -71,7 +84,8 @@ class DilationModel:
                 f"unitary must be {total}x{total} for dims "
                 f"({self.dim_sys}, {self.dim_env}), got {u.shape}"
             )
-        res = _checked_unitarity(u)
+        res = _unitarity_residual(u)
+        _require_unitary(res)
         object.__setattr__(self, "u", _frozen(u.copy()))
         object.__setattr__(self, "unitarity_residual", res)
 
@@ -85,7 +99,8 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     the orthogonal complement of V's range: the last N(k-1) columns of the
     complete QR factor of V, or, when V splits into blocks, the free
     columns of each block's complete QR factor followed by a unit column
-    for every zero row of V.
+    for every zero row of V.  A split u is written, and its unitarity
+    measured, block by block.
 
     Raises
     ------
@@ -98,26 +113,29 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     total = n * k
     # Row r*k + i, column c of V is C_i[r, c].
     isometry = ch.stack.transpose(1, 0, 2).reshape(total, n)
-    u = np.empty((total, total), dtype=complex)
-    # Column c*k + e of u is slot [:, c, e] of this view.
-    slots = u.reshape(total, n, k)
-    slots[:, :, 0] = isometry
-    slots[:, :, 1:] = _complement_basis(isometry).reshape(total, n, k - 1)
+    groups, parts = _unitary_groups(isometry)
+    if groups is None:
+        u = np.empty((total, total), dtype=complex)
+        # Column c*k + e of u is slot [:, c, e] of this view.
+        slots = u.reshape(total, n, k)
+        slots[:, :, 0] = isometry
+        slots[:, :, 1:] = _complement_basis(parts[0][0]).reshape(total, n, k - 1)
+        res = _unitarity_residual(u)
+    else:
+        u, res = _split_unitary(isometry, groups, parts)
     # u is finite and of the model's shape by construction; TOL_TP lets
     # through channels whose u misses TOL_UNITARY, so unitarity is gated.
-    res = _checked_unitarity(u)
+    _require_unitary(res)
     return _trusted(
         DilationModel, dim_sys=n, dim_env=k, u=_frozen(u), env_state=0,
         unitarity_residual=res,
     )
 
 
-def _checked_unitarity(u: np.ndarray) -> float:
-    """The unitarity residual of u, refused above ``TOL_UNITARY``."""
-    res = _unitarity_residual(u)
+def _require_unitary(res: float) -> None:
+    """Refuse a unitarity residual above ``TOL_UNITARY``."""
     if res > TOL_UNITARY:
         raise ValidationError("u is not unitary", residual=res)
-    return res
 
 
 def evolve_via_dilation(model: DilationModel, rho: DensityMatrix) -> DensityMatrix:

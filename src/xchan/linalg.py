@@ -26,11 +26,18 @@ search costs more than the smaller calls save.
 Each distinct split pattern is searched once per process: its read-only
 groups are kept, keyed by its shape and its packed bits, for the last
 ``_COMPONENTS_CACHE_SIZE`` (16) patterns.  Every sampled channel at one N
-has the same Choi, product-stack, isometry and dilation patterns, so
+has the same Choi, product-stack and isometry patterns, three per N, so
 ``choi_min_eigenvalue``, ``kraus_from_choi``, ``check_extremal`` and
-``stinespring`` repeat no search.  The keys retain at most 16 x (m p / 8)
-bytes; at the CLI's ``sample --n 64`` cap one 4096 x 4096 Choi pattern is a
-2 MB key.
+``stinespring`` repeat no search.  A split isometry is completed to the
+dilation unitary block by block (``_split_unitary``), and those blocks
+give its unitarity residual, so u's pattern is not searched.  The keys
+retain at most 16 x (m p / 8) bytes; at the CLI's ``sample --n 64`` cap one
+4096 x 4096 Choi pattern is a 2 MB key.
+
+The Choi matrix of operators with pairwise disjoint supports is built the
+same way: from ``_SCATTER_MIN_DIM`` columns up each operator's outer
+product is written alone into zeros (``_row_outer_sum``), with the bits of
+the dense product.
 
 The groups of one shape are gathered into one (g, a, b) array, the whole
 matrix as the view ``m[None]``, and decomposed by one batched call.  One
@@ -72,22 +79,38 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SX, SY, SZ)
 
 # A matrix with at least this many rows and columns is decomposed group by
-# group when its exact nonzero pattern splits (see ``_grouped``).  Below it
-# the pattern search costs more than the smaller calls save: for sampled
-# channels the split and the whole matrix break even at a 36 x 36 Choi
-# matrix or product stack (N = 6), and the split wins from 49 x 49.
+# group when its exact nonzero pattern splits (see ``_grouped``).  The gate
+# was set when every call searched the pattern.  With each pattern searched
+# once per process, the split already wins for sampled channels at a 25 x 25
+# Choi matrix (N = 5) and at 36 x 36 (N = 6: ``kraus_from_choi`` 83 -> 57
+# us, ``check_extremal`` 67 -> 37 us), and still loses at 16 x 16 (N = 4:
+# ``kraus_from_choi`` 36 -> 42 us).  It stays at 40: a split decomposition
+# rounds differently, so lowering it changes output bits at N = 5 and 6.
 _BLOCK_MIN_DIM = 40
 
 # The same gate for completing an isometry to a unitary and for checking
-# unitarity (``_complement_basis``, ``_unitarity_residual``), on the row
-# count N k.  A QR or product of the whole matrix costs less than the
-# pattern search up to a larger size: for sampled channels ``stinespring``
-# breaks even at N k = 121 (N = 11), and the split wins from 144.
+# unitarity (``_split_unitary``, ``_unitarity_residual``), on the row count
+# N k, set when every call searched the pattern.  With the pattern searched
+# once and a split u built from the isometry's blocks, ``stinespring`` on
+# sampled channels breaks even at N k = 49 (N = 7) and the split wins from
+# 64 (N = 8: 56 -> 48 us; N = 11: 151 -> 61 us), while the whole matrix
+# still wins at 36 (35 against 42 us).  It stays at 128: a split u has
+# other complement columns, so lowering it changes u's bits at N = 8..11.
 _BLOCK_MIN_UNITARY_DIM = 128
 
+# ``_row_outer_sum`` scatters the outer products of rows with pairwise
+# disjoint supports from this many columns up: the N^2 columns of the vec
+# stack of ``channels.choi``.  Below it the dense product costs less: for
+# sampled channels ``choi`` takes 8 us dense against 17 us scattered at
+# N = 8 and 23 against 31 us at N = 12; the two break even at N = 14 (44
+# us), and the scatter wins from N = 15 (53 against 57 us; 65 against 149
+# us at N = 16).
+_SCATTER_MIN_DIM = 196
+
 # The number of distinct split patterns whose components are kept
-# (``_pattern_components``).  A sampled channel at one N brings at most four:
-# its Choi matrix, product stack, isometry and dilation.
+# (``_pattern_components``).  A sampled channel at one N brings at most three:
+# its Choi matrix, product stack and isometry; a dilation built from the
+# isometry's blocks is not searched.
 _COMPONENTS_CACHE_SIZE = 16
 
 
@@ -324,35 +347,93 @@ def _rank(stack: np.ndarray, tol_rank: float) -> int:
     return _count_above(s, tol_rank)
 
 
-def _complement_basis(v: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the complement of an isometry's range.
+def _row_outer_sum(w: np.ndarray) -> np.ndarray:
+    """``w.T @ w.conj()`` as complex128: the sum of the outer products
+    w[i] w[i]^dag of the rows of a (k, M) array.
 
-    ``v`` is an (m, p) matrix with orthonormal columns; returns the (m, m-p)
-    matrix whose columns complete them to an orthonormal basis, real when
-    ``v`` is exactly real.  The groups are decided on m, the side of the
-    unitary being completed.  One group's are the last m-p columns of its
-    complete QR factor.  Otherwise each (a, b) group of ``v`` contributes
-    the last a-b columns of its own, supported on its rows, and every row
-    in no group (a zero row of a split ``v``) a unit column.
+    When no column of w has two nonzero entries, the rows' exact supports
+    are pairwise disjoint and each entry of the sum is one product or an
+    exact zero.  From ``_SCATTER_MIN_DIM`` columns up each row's outer
+    product is then written alone into zeros, at a cost set by the
+    supports rather than by M^2 k: one batched BLAS product per support
+    size, which forms each entry from the same two factors as the dense
+    product, with the same bits (the tests pin them; numpy's elementwise
+    complex product rounds differently).  Otherwise the dense product is
+    cast to complex128.
+    """
+    m = w.shape[1]
+    if m >= _SCATTER_MIN_DIM:
+        nz = w.astype(bool)
+        if nz.sum(axis=0).max() <= 1:
+            # Row by row, each support in ascending order.
+            r, c = nz.nonzero()
+            x = w[r, c]
+            sizes = np.bincount(r, minlength=len(w))
+            out = np.zeros((m, m), dtype=complex)
+            for s in sorted(set(sizes.tolist()) - {0}):
+                on = (sizes == s)[r]
+                idx, xs = c[on].reshape(-1, s), x[on].reshape(-1, s)
+                out[idx[:, :, None], idx[:, None, :]] = xs[:, :, None] @ xs.conj()[:, None, :]
+            return out
+    return (w.T @ w.conj()).astype(complex, copy=False)
+
+
+def _unitary_groups(m: np.ndarray) -> tuple:
+    """``_grouped`` of a unitary, or of an isometry to complete to one: split
+    on its row count from ``_BLOCK_MIN_UNITARY_DIM`` up."""
+    return _grouped(m, len(m), _BLOCK_MIN_UNITARY_DIM)
+
+
+def _complement_basis(v: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the complement of an isometry's range: the
+    last m-p columns of the complete QR factor of the (m, p) matrix ``v``,
+    real when ``v`` is real.  A split ``v`` is completed block by block
+    (``_split_unitary``)."""
+    return np.linalg.qr(v, mode="complete")[0][:, v.shape[1]:]
+
+
+def _split_unitary(v: np.ndarray, groups, parts) -> tuple[np.ndarray, float]:
+    """The unitary completing an isometry that splits, and its unitarity
+    residual.
+
+    ``v`` is an (m, p) matrix with orthonormal columns and no zero column,
+    p divides m, and ``groups``, ``parts`` are its ``_unitary_groups``.
+    The (m, m) complex128 u holds column c of v, exactly, as its column
+    c*k, k = m/p, and the complement basis in its other columns, ascending:
+    each (a, b) group of v contributes the last a - b columns of its own
+    complete QR factor, supported on its rows, and every zero row of v (in
+    no group) a unit column.
+
+    So u's groups are v's groups, each with its free columns, plus one
+    1 x 1 block per zero row, and u is not searched again.  Each group's
+    block is laid out as ``_unitarity_residual`` gathers it from u, columns
+    in u's ascending order, so its product, and the residual, are that
+    function's bit for bit; a unit block adds an exact zero.
     """
     m, p = v.shape
-    groups, parts = _grouped(v, m, _BLOCK_MIN_UNITARY_DIM)
-    if groups is None:
-        return np.linalg.qr(parts[0], mode="complete")[0][0, :, p:]
-    out = np.zeros((m, m - p), dtype=parts[0].dtype)
+    k = m // p
+    free = np.arange(m).reshape(p, k)[:, 1:].ravel()
+    u = np.zeros((m, m), dtype=complex)
+    u[:, ::k] = v
+    res = 0.0
     start = 0
     for (rows, cols), b in zip(groups, parts):
         g, rank = cols.shape
-        free = np.linalg.qr(b, mode="complete")[0][:, :, rank:]
-        stop = start + free.shape[2] * g
-        # Block i's free columns are the i-th run of out[:, start:stop].
-        out[:, start:stop].reshape(m, g, -1)[rows, np.arange(g)[:, None]] = free
+        q = np.linalg.qr(b, mode="complete")[0][:, :, rank:]
+        stop = start + q.shape[2] * g
+        # Block i's free columns are the i-th run of free[start:stop].
+        spare = free[start:stop].reshape(g, -1)
+        u[rows[:, :, None], spare[:, None, :]] = q
+        # The block's columns, as rows of its transpose, in u's order.
+        order = np.concatenate([cols * k, spare], axis=1).argsort(axis=1)
+        block = np.concatenate([b.transpose(0, 2, 1), q.transpose(0, 2, 1)], axis=1)
+        res = max(res, _gram_residual(block[np.arange(g)[:, None], order].transpose(0, 2, 1)))
         start = stop
     if start < m - p:
-        # The rows in no group are the zero rows of a split v.
+        # The rows in no group are the zero rows of v.
         loose = (~v.any(axis=1)).nonzero()[0]
-        out[loose, np.arange(start, m - p)] = 1.0
-    return out
+        u[loose, free[start:]] = 1.0
+    return u, res
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
@@ -363,15 +444,20 @@ def _unitarity_residual(u: np.ndarray) -> float:
     zero, and an all-zero column of a split u, in no group, has a diagonal
     entry 0: a residual of 1.0.
     """
-    groups, parts = _grouped(u, len(u), _BLOCK_MIN_UNITARY_DIM)
+    groups, parts = _unitary_groups(u)
     res = 1.0 if groups and sum(cols.size for _, cols in groups) < len(u) else 0.0
     for b in parts:
-        # Contiguous, so that a real b^T b is one symmetric BLAS product.
-        b = np.ascontiguousarray(b)
-        gram = b.conj().transpose(0, 2, 1) @ b
-        gram -= np.eye(b.shape[2])
-        res = max(res, float(np.abs(gram).max()))
+        res = max(res, _gram_residual(b))
     return res
+
+
+def _gram_residual(b: np.ndarray) -> float:
+    """max|b^dag b - I| over a (g, a, c) stack of blocks."""
+    # Contiguous, so that a real b^T b is one symmetric BLAS product.
+    b = np.ascontiguousarray(b)
+    gram = b.conj().transpose(0, 2, 1) @ b
+    gram -= np.eye(b.shape[2])
+    return float(np.abs(gram).max())
 
 
 def _grouped(m: np.ndarray, size: int, gate: float, hermitian: bool = False) -> tuple:

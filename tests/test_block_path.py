@@ -491,7 +491,9 @@ def test_the_large_n_chain_gives_the_same_bits_from_a_cold_and_a_warm_memo(n):
     memo.cache_clear()
     cold = [large_n_chain(ch) for ch in channels]
     searched = memo.cache_info().misses
-    assert searched == (2 if n == 8 else 4)
+    # N=8: the Choi matrix and the product stack.  N=16 adds the isometry;
+    # the dilation built from its blocks is not searched.
+    assert searched == (2 if n == 8 else 3)
     warm = [large_n_chain(ch) for ch in channels]
     assert memo.cache_info().misses == searched
     assert warm == cold

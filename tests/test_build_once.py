@@ -315,6 +315,25 @@ def test_stinespring_still_gates_unitarity(monkeypatch):
     assert err.value.residual == 3.0
 
 
+def test_stinespring_still_gates_unitarity_on_the_split_path(monkeypatch):
+    # At N=12 the isometry splits and u is built from its blocks.  QR
+    # factors scaled by 2 give free columns of norm 2: u^dag u has about 4 on
+    # their diagonal, and the block residual is the one that searching u
+    # finds.
+    _, ch = sample_extremal(12, 1)
+    v = ch.stack.transpose(1, 0, 2).reshape(144, 12)
+    groups, parts = linalg._unitary_groups(v)
+    assert groups is not None
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: (2 * qr(a, mode=mode)[0], None))
+    with pytest.raises(ValidationError, match="u is not unitary") as err:
+        stinespring(ch)
+    u, res = linalg._split_unitary(v, groups, parts)
+    monkeypatch.undo()
+    assert err.value.residual == res == linalg._unitarity_residual(u)
+    assert abs(res - 3.0) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Block-first Hermitian gates.
 
