@@ -260,6 +260,8 @@ def convex_combine(
     if len(channels) == 0:
         raise ValueError("need at least one channel")
     w = np.asarray(weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, got {w.tolist()}")
     if np.any(w < 0):
         raise ValueError(f"weights must be non-negative, got {w.tolist()}")
     total = float(w.sum())

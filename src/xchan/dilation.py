@@ -8,19 +8,10 @@ acting on sys (x) |0> is the isometry V = sum_i C_i (x) |i><0|, and
     B(rho) = Tr_env[u (rho (x) |0><0|) u^dag].
 
 The remaining columns of u are free; they are filled with an orthonormal
-basis of the complement of V's range, so the same channel always yields
-the same u.  When V's exact zero pattern splits into blocks of rows and
-columns (for ``C_i = U_i D_i`` with permutations ``U_i``, every column of V
-is a block), u is written block by block (``linalg._split_unitary``): each
-block's V columns and the free columns of its complete QR factor, supported
-on its rows, and a unit column for every row of V that is zero.  Those
-blocks are u's own, so its unitarity residual is taken from them, with the
-bits of searching u's pattern.  A V whose pattern is one block, or with
-fewer than ``linalg._BLOCK_MIN_UNITARY_DIM`` rows, takes one complete QR of
-the whole of V, and u's residual from u (``_unitarity_residual``), as for a
-``DilationModel`` built from a given u.  When V has no imaginary part the
-QR and the unitarity check run in real arithmetic; u is complex128 either
-way.
+basis of the complement of V's range from complete QR factors
+(``linalg._completed_unitary``), so the same channel always yields the
+same u.  When V has no imaginary part the QR and the unitarity check run
+in real arithmetic; u is complex128 either way.
 
 ``stinespring`` builds u finite and of the model's shape, so its model
 skips ``DilationModel``'s finiteness scan and copy: u is frozen in place.
@@ -31,6 +22,7 @@ can still give a u that misses the unitarity one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +30,10 @@ import numpy as np
 from .channels import KrausChannel, require_trace_preserving
 from .errors import ValidationError
 from .linalg import (
-    _complement_basis,
+    _completed_unitary,
     _frozen,
-    _split_unitary,
     _trusted,
     _unitarity_residual,
-    _unitary_groups,
     as_complex,
     dagger,
 )
@@ -56,12 +46,7 @@ class DilationModel:
     """Unitary u on sys (x) env with a pure initial environment state.
 
     ``unitarity_residual`` is the max-entry residual of u^dag u - I that
-    construction measured against ``TOL_UNITARY``.  From
-    ``linalg._BLOCK_MIN_UNITARY_DIM`` rows up it is taken block by block
-    when u's exact pattern splits: entries of u^dag u between two blocks
-    are exact zeros, and an all-zero column gives 1.0, as in the dense
-    product.  ``stinespring`` takes it from the blocks it writes u from,
-    with the same bits.
+    construction measured against ``TOL_UNITARY``.
     """
 
     dim_sys: int
@@ -71,6 +56,10 @@ class DilationModel:
     unitarity_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("dim_sys", "dim_env", "env_state"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim_sys < 1 or self.dim_env < 1:
             raise ValueError("dimensions must be positive")
         if not 0 <= self.env_state < self.dim_env:
@@ -96,11 +85,7 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     The environment dimension equals the operator count k.  Column c*k of u
     (the image of basis state |c> (x) |0>) is column c of the isometry
     V = sum_i C_i (x) |i>, written exactly.  The other N(k-1) columns span
-    the orthogonal complement of V's range: the last N(k-1) columns of the
-    complete QR factor of V, or, when V splits into blocks, the free
-    columns of each block's complete QR factor followed by a unit column
-    for every zero row of V.  A split u is written, and its unitarity
-    measured, block by block.
+    the orthogonal complement of V's range (``linalg._completed_unitary``).
 
     Raises
     ------
@@ -110,19 +95,8 @@ def stinespring(ch: KrausChannel) -> DilationModel:
     require_trace_preserving(ch, "dilation requires a trace-preserving channel")
     n = ch.dim
     k = len(ch)
-    total = n * k
     # Row r*k + i, column c of V is C_i[r, c].
-    isometry = ch.stack.transpose(1, 0, 2).reshape(total, n)
-    groups, parts = _unitary_groups(isometry)
-    if groups is None:
-        u = np.empty((total, total), dtype=complex)
-        # Column c*k + e of u is slot [:, c, e] of this view.
-        slots = u.reshape(total, n, k)
-        slots[:, :, 0] = isometry
-        slots[:, :, 1:] = _complement_basis(parts[0][0]).reshape(total, n, k - 1)
-        res = _unitarity_residual(u)
-    else:
-        u, res = _split_unitary(isometry, groups, parts)
+    u, res = _completed_unitary(ch.stack.transpose(1, 0, 2).reshape(n * k, n))
     # u is finite and of the model's shape by construction; TOL_TP lets
     # through channels whose u misses TOL_UNITARY, so unitarity is gated.
     _require_unitary(res)

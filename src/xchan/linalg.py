@@ -15,13 +15,17 @@ value class instance the package built itself is made by ``_trusted``,
 which stores its read-only fields without the class's gate; each caller
 says why the invariants hold.
 
-Every decomposition runs over the groups of its matrix (``_grouped``).  The
-whole matrix is one group unless its size reaches a gate and its exact zero
+Every decomposition, and the completion and check of a unitary, runs over
+the groups of its matrix (``_grouped``).  The whole matrix is one group
+unless its size reaches the one gate ``_BLOCK_MIN_DIM`` and its exact zero
 pattern splits into several connected components (``_components``; there
-is no tolerance); then each component is a group.  The Choi matrix of a
-channel ``C_i = U_i D_i`` with permutation ``U_i`` splits so: its N^2 x N^2
-pattern is one N x N block per operator.  Below the gates the pattern
-search costs more than the smaller calls save.
+is no tolerance); then each component is a group.  The size is the
+smaller side of a matrix to decompose and the row count of an isometry or
+a unitary.  The Choi matrix of a channel ``C_i = U_i D_i`` with
+permutation ``U_i`` splits so: its N^2 x N^2 pattern is one N x N block
+per operator.  A sampled channel's Choi matrix, product stack and N^2 x N
+isometry all reach the gate from N = 7.  Below it the pattern search costs
+more than the smaller calls save.
 
 Each distinct split pattern is searched once per process: its read-only
 groups are kept, keyed by its shape and its packed bits, for the last
@@ -79,24 +83,22 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SX, SY, SZ)
 
 # A matrix with at least this many rows and columns is decomposed group by
-# group when its exact nonzero pattern splits (see ``_grouped``).  The gate
-# was set when every call searched the pattern.  With each pattern searched
-# once per process, the split already wins for sampled channels at a 25 x 25
-# Choi matrix (N = 5) and at 36 x 36 (N = 6: ``kraus_from_choi`` 83 -> 57
-# us, ``check_extremal`` 67 -> 37 us), and still loses at 16 x 16 (N = 4:
+# group when its exact nonzero pattern splits (see ``_grouped``), and an
+# isometry or a unitary with at least this many rows is completed or checked
+# so (``_completed_unitary``, ``_unitarity_residual``).  The gate was set
+# when every call searched the pattern.  With each pattern searched once per
+# process, the split already wins for sampled channels at a 25 x 25 Choi
+# matrix (N = 5) and at 36 x 36 (N = 6: ``kraus_from_choi`` 83 -> 57 us,
+# ``check_extremal`` 67 -> 37 us), and still loses at 16 x 16 (N = 4:
 # ``kraus_from_choi`` 36 -> 42 us).  It stays at 40: a split decomposition
 # rounds differently, so lowering it changes output bits at N = 5 and 6.
+# Every Choi and product-stack side is a square N^2, none in [40, 49).  For
+# a sampled channel's isometry (N k rows) ``stinespring`` with the split
+# completion loses at 49 (N = 7: 139 against 127 us whole), which no
+# workload runs, and wins from 64 (N = 8: 146 against 166 us; N = 10: 167
+# against 298 us); the whole matrix wins at 36 (106 against 129 us split;
+# timeit, one BLAS thread).
 _BLOCK_MIN_DIM = 40
-
-# The same gate for completing an isometry to a unitary and for checking
-# unitarity (``_split_unitary``, ``_unitarity_residual``), on the row count
-# N k, set when every call searched the pattern.  With the pattern searched
-# once and a split u built from the isometry's blocks, ``stinespring`` on
-# sampled channels breaks even at N k = 49 (N = 7) and the split wins from
-# 64 (N = 8: 56 -> 48 us; N = 11: 151 -> 61 us), while the whole matrix
-# still wins at 36 (35 against 42 us).  It stays at 128: a split u has
-# other complement columns, so lowering it changes u's bits at N = 8..11.
-_BLOCK_MIN_UNITARY_DIM = 128
 
 # ``_row_outer_sum`` scatters the outer products of rows with pairwise
 # disjoint supports from this many columns up: the N^2 columns of the vec
@@ -378,18 +380,31 @@ def _row_outer_sum(w: np.ndarray) -> np.ndarray:
     return (w.T @ w.conj()).astype(complex, copy=False)
 
 
-def _unitary_groups(m: np.ndarray) -> tuple:
-    """``_grouped`` of a unitary, or of an isometry to complete to one: split
-    on its row count from ``_BLOCK_MIN_UNITARY_DIM`` up."""
-    return _grouped(m, len(m), _BLOCK_MIN_UNITARY_DIM)
+def _completed_unitary(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """The dilation unitary completing an isometry, and its unitarity
+    residual.
 
-
-def _complement_basis(v: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the complement of an isometry's range: the
-    last m-p columns of the complete QR factor of the (m, p) matrix ``v``,
-    real when ``v`` is real.  A split ``v`` is completed block by block
-    (``_split_unitary``)."""
-    return np.linalg.qr(v, mode="complete")[0][:, v.shape[1]:]
+    ``v`` is an (m, p) matrix with orthonormal columns, p divides m, and
+    k = m/p.  The (m, m) complex128 u holds column c of v, exactly, as its
+    column c*k, and an orthonormal basis of the complement of v's range in
+    its other columns.  A ``v`` that splits (``_grouped`` on its row count)
+    is completed block by block (``_split_unitary``).  Otherwise the basis
+    is the last m - p columns of one complete QR factor of v, real when v
+    is, in u's free columns in order, and the residual is
+    ``_unitarity_residual(u)``.
+    """
+    m, p = v.shape
+    groups, parts = _grouped(v, m, _BLOCK_MIN_DIM)
+    if groups is not None:
+        return _split_unitary(v, groups, parts)
+    k = m // p
+    u = np.empty((m, m), dtype=complex)
+    # Column c*k + e of u is slot [:, c, e] of this view.
+    slots = u.reshape(m, p, k)
+    slots[:, :, 0] = v
+    q = np.linalg.qr(parts[0][0], mode="complete")[0]
+    slots[:, :, 1:] = q[:, p:].reshape(m, p, k - 1)
+    return u, _unitarity_residual(u)
 
 
 def _split_unitary(v: np.ndarray, groups, parts) -> tuple[np.ndarray, float]:
@@ -397,12 +412,12 @@ def _split_unitary(v: np.ndarray, groups, parts) -> tuple[np.ndarray, float]:
     residual.
 
     ``v`` is an (m, p) matrix with orthonormal columns and no zero column,
-    p divides m, and ``groups``, ``parts`` are its ``_unitary_groups``.
-    The (m, m) complex128 u holds column c of v, exactly, as its column
-    c*k, k = m/p, and the complement basis in its other columns, ascending:
-    each (a, b) group of v contributes the last a - b columns of its own
-    complete QR factor, supported on its rows, and every zero row of v (in
-    no group) a unit column.
+    p divides m, and ``groups``, ``parts`` are its ``_grouped`` on its row
+    count.  The (m, m) complex128 u holds column c of v, exactly, as its
+    column c*k, k = m/p, and the complement basis in its other columns,
+    ascending: each (a, b) group of v contributes the last a - b columns of
+    its own complete QR factor, supported on its rows, and every zero row
+    of v (in no group) a unit column.
 
     So u's groups are v's groups, each with its free columns, plus one
     1 x 1 block per zero row, and u is not searched again.  Each group's
@@ -444,7 +459,7 @@ def _unitarity_residual(u: np.ndarray) -> float:
     zero, and an all-zero column of a split u, in no group, has a diagonal
     entry 0: a residual of 1.0.
     """
-    groups, parts = _unitary_groups(u)
+    groups, parts = _grouped(u, len(u), _BLOCK_MIN_DIM)
     res = 1.0 if groups and sum(cols.size for _, cols in groups) < len(u) else 0.0
     for b in parts:
         res = max(res, _gram_residual(b))
@@ -468,9 +483,10 @@ def _grouped(m: np.ndarray, size: int, gate: float, hermitian: bool = False) -> 
     per group shape, under ``_real_if_exact``.  The whole matrix is the one
     group, ``groups`` None and ``parts`` the view ``[m[None]]``, unless
     ``size`` is at least ``gate`` and the exact pattern of ``m`` splits
-    into more than one block.  ``size`` is m's smaller side, or the
-    side of the unitary that ``_complement_basis`` completes.  A
-    ``hermitian`` m is split along ``_hermitian_blocks``.
+    into more than one block.  ``size`` is m's smaller side, or the row
+    count of an isometry or unitary (``_completed_unitary``,
+    ``_unitarity_residual``).  A ``hermitian`` m is split along
+    ``_hermitian_blocks``.
     """
     if size >= gate:
         groups = _hermitian_blocks(m) if hermitian else _components(m.astype(bool))

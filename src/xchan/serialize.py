@@ -38,7 +38,8 @@ _ENTRY_MAX = 1e150
 
 
 def matrix_to_doc(m: np.ndarray) -> list:
-    """Nested-list encoding with [re, im] entry pairs."""
+    """Nested-list encoding of a matrix, or a stack of them, with [re, im]
+    entry pairs."""
     m = np.asarray(m, dtype=complex)
     return np.stack((m.real, m.imag), -1).tolist()
 
@@ -84,7 +85,7 @@ def matrix_from_doc(doc: Any, field: str) -> np.ndarray:
 def channel_to_doc(ch: KrausChannel, metadata: dict | None = None) -> dict:
     doc: dict[str, Any] = {
         "dim": ch.dim,
-        "kraus": [matrix_to_doc(c) for c in ch.kraus],
+        "kraus": matrix_to_doc(ch.stack),
     }
     if metadata:
         doc["metadata"] = metadata

@@ -2,10 +2,10 @@
 
 ``linalg`` decomposes a matrix over its groups: the whole matrix, or, from
 ``linalg._BLOCK_MIN_DIM`` rows and columns up (``herm_eig``,
-``herm_eigvals``, ``matrix_rank``) and from
-``linalg._BLOCK_MIN_UNITARY_DIM`` rows up (the unitary completion of
-``stinespring`` and the unitarity check of ``DilationModel``), the
-connected components of its exact nonzero pattern when there are several.
+``herm_eigvals``, ``matrix_rank``) and from as many rows up (the unitary
+completion of ``stinespring`` and the unitarity check of
+``DilationModel``), the connected components of its exact nonzero pattern
+when there are several.
 These tests move the crossover to 0, so the split runs at every N from 2
 to 16, and compare it with one dense numpy call on the same matrix:
 sampled channels, padded mixtures whose supports overlap and merge blocks,
@@ -33,7 +33,7 @@ from xchan.dilation import DilationModel, stinespring
 from xchan.errors import ValidationError
 from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
 from xchan.linalg import (
-    _BLOCK_MIN_UNITARY_DIM,
+    _BLOCK_MIN_DIM,
     _components,
     _hermitian_blocks,
     _rank,
@@ -180,9 +180,9 @@ def isometry(ch: KrausChannel) -> np.ndarray:
 
 
 def with_unitary_gate(gate: int, fn, *args):
-    """``fn(*args)`` with the dilation's block crossover moved to ``gate``."""
+    """``fn(*args)`` with the block crossover moved to ``gate``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_BLOCK_MIN_UNITARY_DIM", gate)
+        mp.setattr(linalg, "_BLOCK_MIN_DIM", gate)
         return fn(*args)
 
 
@@ -258,7 +258,7 @@ def test_rotated_channel_dilation_keeps_the_dense_result(n, haar_unitary):
     rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
     assert not _splits(_components(isometry(rotated) != 0))
     reference = dense_dilation_reference(rotated)
-    for gate in (0, _BLOCK_MIN_UNITARY_DIM):
+    for gate in (0, _BLOCK_MIN_DIM):
         model = with_unitary_gate(gate, stinespring, rotated)
         assert np.array_equal(model.u, reference)
         assert model.unitarity_residual == dense_unitarity_residual(reference)
@@ -268,7 +268,7 @@ def block_unitary(n: int = 12) -> np.ndarray:
     """A dilation unitary above the crossover whose pattern splits."""
     _, ch = sample_extremal(n, seed=n)
     u = np.array(stinespring(ch).u)
-    assert len(u) >= _BLOCK_MIN_UNITARY_DIM and _splits(_components(u != 0))
+    assert len(u) >= _BLOCK_MIN_DIM and _splits(_components(u != 0))
     return u
 
 
@@ -491,9 +491,9 @@ def test_the_large_n_chain_gives_the_same_bits_from_a_cold_and_a_warm_memo(n):
     memo.cache_clear()
     cold = [large_n_chain(ch) for ch in channels]
     searched = memo.cache_info().misses
-    # N=8: the Choi matrix and the product stack.  N=16 adds the isometry;
-    # the dilation built from its blocks is not searched.
-    assert searched == (2 if n == 8 else 3)
+    # The Choi matrix, the product stack and the isometry; the dilation
+    # built from the isometry's blocks is not searched.
+    assert searched == 3
     warm = [large_n_chain(ch) for ch in channels]
     assert memo.cache_info().misses == searched
     assert warm == cold

@@ -307,9 +307,7 @@ def test_drawn_qubit_channels_equal_their_gated_construction(nu1, nu2):
 def test_stinespring_still_gates_unitarity(monkeypatch):
     # Complement columns of norm 2: u^dag u has 4 on their diagonal.
     _, ch = sample_extremal(3, 1)
-    monkeypatch.setattr(
-        "xchan.dilation._complement_basis", lambda v: 2 * np.eye(len(v))[:, v.shape[1]:]
-    )
+    monkeypatch.setattr(np.linalg, "qr", lambda v, mode: (2 * np.eye(len(v)), None))
     with pytest.raises(ValidationError, match="u is not unitary") as err:
         stinespring(ch)
     assert err.value.residual == 3.0
@@ -322,13 +320,12 @@ def test_stinespring_still_gates_unitarity_on_the_split_path(monkeypatch):
     # finds.
     _, ch = sample_extremal(12, 1)
     v = ch.stack.transpose(1, 0, 2).reshape(144, 12)
-    groups, parts = linalg._unitary_groups(v)
-    assert groups is not None
+    assert linalg._grouped(v, len(v), linalg._BLOCK_MIN_DIM)[0] is not None
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: (2 * qr(a, mode=mode)[0], None))
     with pytest.raises(ValidationError, match="u is not unitary") as err:
         stinespring(ch)
-    u, res = linalg._split_unitary(v, groups, parts)
+    u, res = linalg._completed_unitary(v)
     monkeypatch.undo()
     assert err.value.residual == res == linalg._unitarity_residual(u)
     assert abs(res - 3.0) <= 1e-14
@@ -451,7 +448,7 @@ def dense_pattern_residual(u: np.ndarray) -> float:
 def test_dilation_model_refuses_as_before(kind):
     _, ch = sample_extremal(12, 3)
     u = np.array(stinespring(ch).u)
-    assert len(u) >= linalg._BLOCK_MIN_UNITARY_DIM and _splits(_components(u != 0))
+    assert len(u) >= linalg._BLOCK_MIN_DIM and _splits(_components(u != 0))
     inside, outside = np.argwhere(u != 0), np.argwhere(u == 0)
     if kind == "nan":
         u[tuple(inside[3])] = np.nan

@@ -226,3 +226,10 @@ def test_convex_combine_validates_weights_and_dims():
     b = KrausChannel((np.eye(3),))
     with pytest.raises(ValueError):
         convex_combine([a, b], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 1.0], [-np.inf, 1.0]])
+def test_convex_combine_refuses_non_finite_weights(weights):
+    a = KrausChannel((ID2,))
+    with pytest.raises(ValueError, match="^weights must be finite"):
+        convex_combine([a, a], weights)

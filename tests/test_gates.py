@@ -22,7 +22,7 @@ from xchan.channels import (
     choi,
     kraus_from_choi,
 )
-from xchan.dilation import DilationModel, stinespring
+from xchan.dilation import DilationModel, evolve_via_dilation, kraus_from_dilation, stinespring
 from xchan.errors import NotHermitianError, NotTracePreservingError
 from xchan.extremal import (
     ExtremalParams,
@@ -95,6 +95,35 @@ def test_bad_input_is_a_value_error(call, mats, kind):
     else:
         with pytest.raises(ValueError):
             call(mats)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"dim_sys": 2.0},
+        {"dim_env": 1.0},
+        {"env_state": 0.0},
+        {"dim_sys": True, "dim_env": 2},
+        {"env_state": False},
+        {"env_state": True, "dim_env": 2},
+        {"dim_sys": np.bool_(True), "dim_env": 2},
+        {"dim_env": np.float64(1.0)},
+        {"dim_sys": "2"},
+        {"env_state": None},
+    ],
+)
+def test_model_sizes_must_be_integers(fields):
+    args = {"dim_sys": 2, "dim_env": 1, "u": np.eye(2), **fields}
+    name = next(iter(fields))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        DilationModel(**args)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    model = DilationModel(dim_sys=np.int64(2), dim_env=np.int32(2), u=np.eye(4), env_state=np.int64(1))
+    rho = random_density(2, 0)
+    assert np.allclose(evolve_via_dilation(model, rho).mat, rho.mat, atol=1e-15)
+    assert len(kraus_from_dilation(model)) == 2
 
 
 @pytest.mark.parametrize("call", [DensityMatrix, herm_eig, herm_eigvals])

@@ -1,16 +1,15 @@
 """A matrix that is one group takes exactly the direct numpy call.
 
-Below the size gates of ``linalg`` every decomposition sees its matrix as
+Below the size gate of ``linalg`` every decomposition sees its matrix as
 one group, the view ``m[None]``.  Its results are compared bit for bit with
 one direct numpy call on the same matrix, in real arithmetic when the
-matrix is exactly real: at N = 2..4, at N = 6 (a 36 x 36 Choi matrix and
-product stack, just below ``_BLOCK_MIN_DIM``) and at N = 11 (a 121 x 121
-dilation, just below ``_BLOCK_MIN_UNITARY_DIM``), for sampled channels,
-which are real, and Haar-rotated ones, which are not.  Asked for the
+matrix is exactly real: at N = 2..4 and at N = 6 (a 36 x 36 Choi matrix,
+product stack and dilation, just below ``_BLOCK_MIN_DIM``), for sampled
+channels, which are real, and Haar-rotated ones, which are not.  Asked for the
 eigenvectors above a cutoff only, it gives the leading reversed ``eigh``
 columns.
 
-Above the gates a sampled channel's Choi matrix splits into one block per
+Above the gate a sampled channel's Choi matrix splits into one block per
 operator.  The equal-weight mixture of the canonical unitaries gives every
 block the same entries, so eigenvalues tie exactly across blocks; the
 merge order is pinned against a reference that sorts (eigenvalue, block,
@@ -27,7 +26,7 @@ from xchan.extremal import canonical_unitaries, sample_extremal
 from xchan.linalg import _hermitian_blocks, herm_eig, herm_eigvals, matrix_rank
 from xchan.tolerances import TOL_RANK
 
-ONE_GROUP_DIMS = [2, 3, 4, 6, 11]
+ONE_GROUP_DIMS = [2, 3, 4, 6]
 
 
 def exact(m: np.ndarray) -> np.ndarray:
@@ -56,10 +55,9 @@ def products(ch: KrausChannel) -> np.ndarray:
 def test_one_group_sizes_are_below_the_gates(n, haar_unitary):
     for _, ch in channels(n, haar_unitary):
         k = len(ch)
-        assert (n * k < linalg._BLOCK_MIN_UNITARY_DIM) == (n <= 11)
-        if n <= 6:
-            assert len(choi(ch)) < linalg._BLOCK_MIN_DIM
-            assert min(k * k, n * n) < linalg._BLOCK_MIN_DIM
+        assert n * k < linalg._BLOCK_MIN_DIM
+        assert len(choi(ch)) < linalg._BLOCK_MIN_DIM
+        assert min(k * k, n * n) < linalg._BLOCK_MIN_DIM
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -80,7 +78,7 @@ def test_eigendecomposition_is_the_direct_eigh(n, haar_unitary):
         assert same_bits(v_out, v[:, ::-1][:, :kept].astype(complex))
 
 
-@pytest.mark.parametrize("n", [d for d in ONE_GROUP_DIMS if d <= 6])
+@pytest.mark.parametrize("n", ONE_GROUP_DIMS)
 def test_rank_is_the_direct_svd_count(n, haar_unitary):
     for _, ch in channels(n, haar_unitary):
         stack = products(ch)

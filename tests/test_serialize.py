@@ -52,6 +52,16 @@ def test_metadata_passes_through():
     assert channel_to_doc(ch).get("metadata") is None
 
 
+@pytest.mark.parametrize("n", [2, 16])
+def test_channel_doc_encodes_each_operator_as_its_matrix_doc(n, haar_unitary):
+    _, ch = sample_extremal(n, n)
+    rotated = KrausChannel(haar_unitary(n, 1) @ ch.stack @ haar_unitary(n, 2))
+    for c in (ch, rotated):
+        doc = channel_to_doc(c)
+        assert doc["kraus"] == [matrix_to_doc(op) for op in c.kraus]
+        assert json.dumps(doc["kraus"]) == json.dumps([matrix_to_doc(op) for op in c.kraus])
+
+
 def test_state_round_trip_is_exact():
     rho = random_density(3, 9)
     back = parse_state(dump_state(rho))

@@ -10,13 +10,15 @@ blocks, with the bits of the dense construction.
   operators times unit-modulus phases, on both sides of the crossover.
   Padded mixtures and Haar-rotated channels, whose supports overlap, take
   the dense product.
-- ``stinespring``: when the isometry V splits, u is written block by block
-  and its unitarity residual is taken from the same blocks.  u must be
-  byte for byte the unitary of the reference construction (the complement
-  of V's range built block by block, then placed in u's free columns), and
-  the residual that of ``_unitarity_residual``, which searches u's pattern
-  and gathers u's blocks: sampled channels, zero rows of V, and padded
-  mixtures whose blocks merge.
+- ``stinespring``: when the isometry V splits (from ``linalg._BLOCK_MIN_DIM``
+  rows up), u is written block by block and its unitarity residual is
+  taken from the same blocks.  u must be byte for byte the unitary of the
+  reference construction (the complement of V's range built block by
+  block, then placed in u's free columns), and the residual that of
+  ``_unitarity_residual``, which searches u's pattern and gathers u's
+  blocks, and that of ``DilationModel(u)``: sampled channels, zero rows of
+  V, and padded mixtures whose blocks merge.  Below the gate, and for a
+  Haar-rotated channel above it, u is one complete QR of V.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from xchan import linalg
 from xchan.channels import KrausChannel, choi, convex_combine, kraus_from_choi
-from xchan.dilation import stinespring
+from xchan.dilation import DilationModel, stinespring
 from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
 from xchan.linalg import _components, _grouped, _splits, _unitarity_residual, real_if_exact
 
@@ -52,13 +54,13 @@ def disjoint(ch: KrausChannel) -> bool:
     return int((vec_stack(ch) != 0).sum(axis=0).max()) <= 1
 
 
-def with_gates(fn, *args, scatter=None, unitary=None):
-    """``fn(*args)`` with the Choi scatter and the unitary crossovers moved."""
+def with_gates(fn, *args, scatter=None, block=None):
+    """``fn(*args)`` with the Choi scatter and the block crossovers moved."""
     with pytest.MonkeyPatch.context() as mp:
         if scatter is not None:
             mp.setattr(linalg, "_SCATTER_MIN_DIM", scatter)
-        if unitary is not None:
-            mp.setattr(linalg, "_BLOCK_MIN_UNITARY_DIM", unitary)
+        if block is not None:
+            mp.setattr(linalg, "_BLOCK_MIN_DIM", block)
         return fn(*args)
 
 
@@ -213,9 +215,9 @@ def reference_split_dilation(ch: KrausChannel) -> np.ndarray:
     return u
 
 
-def assert_split_dilation(ch: KrausChannel, gate: int | None = 0) -> None:
-    """The split builder runs, and gives the reference u and the residual of
-    ``_unitarity_residual``, both bit for bit."""
+def split_calls(ch: KrausChannel, gate: int | None):
+    """``stinespring(ch)`` at the block gate ``gate``, and the shapes that
+    the split builder was called with."""
     calls = []
     split = linalg._split_unitary
 
@@ -224,13 +226,43 @@ def assert_split_dilation(ch: KrausChannel, gate: int | None = 0) -> None:
         return split(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("xchan.dilation._split_unitary", spy)
-        model = with_gates(stinespring, ch, unitary=gate)
+        mp.setattr(linalg, "_split_unitary", spy)
+        model = with_gates(stinespring, ch, block=gate)
+    return model, calls
+
+
+def same_float(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_split_dilation(ch: KrausChannel, gate: int | None = 0) -> None:
+    """The split builder runs, and gives the reference u and the residual of
+    ``_unitarity_residual`` and of ``DilationModel(u)``, all bit for bit."""
+    model, calls = split_calls(ch, gate)
     assert calls == [(ch.dim * len(ch), ch.dim)]
     u = model.u
     assert same_bits(u, reference_split_dilation(ch))
-    scanned = with_gates(_unitarity_residual, u, unitary=gate)
-    assert np.float64(model.unitarity_residual).tobytes() == np.float64(scanned).tobytes()
+    scanned = with_gates(_unitarity_residual, u, block=gate)
+    assert same_float(model.unitarity_residual, scanned)
+    given_u = with_gates(DilationModel, ch.dim, len(ch), u, block=gate)
+    assert same_bits(given_u.u, u)
+    assert same_float(given_u.unitarity_residual, model.unitarity_residual)
+
+
+def assert_whole_dilation(ch: KrausChannel) -> None:
+    """At the default gate the split builder does not run: u is the
+    complete QR of the whole of V, with the residual of ``DilationModel(u)``."""
+    model, calls = split_calls(ch, None)
+    assert calls == []
+    n, k = ch.dim, len(ch)
+    v = real_if_exact(isometry(ch))
+    u = np.empty((n * k, n * k), dtype=complex)
+    u.reshape(n * k, n, k)[:, :, 0] = v
+    u.reshape(n * k, n, k)[:, :, 1:] = (
+        np.linalg.qr(v, mode="complete")[0][:, n:].reshape(n * k, n, k - 1)
+    )
+    assert same_bits(model.u, u)
+    assert same_float(model.unitarity_residual, DilationModel(n, k, u).unitarity_residual)
 
 
 all_dims = pytest.mark.parametrize("n", range(2, 17))
@@ -261,13 +293,35 @@ def test_split_dilation_of_padded_mixtures_whose_blocks_merge(n, seed, weight):
     assert_split_dilation(mixed)
 
 
-@pytest.mark.parametrize("n", [12, 16, 20])
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11, 12, 16, 20])
 @pytest.mark.parametrize("seed", range(6))
 def test_split_dilation_at_the_default_gate(n, seed):
     _, ch = sample_extremal(n, seed)
-    assert n * len(ch) >= linalg._BLOCK_MIN_UNITARY_DIM
+    assert n * len(ch) >= linalg._BLOCK_MIN_DIM
     assert_split_dilation(ch, gate=None)
     assert_split_dilation(build_extremal(with_zero_diagonals(n, seed)), gate=None)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("seed", range(3))
+def test_split_dilation_of_padded_mixtures_at_the_default_gate(n, seed):
+    mixed = padded_mixture(n, seed)
+    assert n * len(mixed) >= linalg._BLOCK_MIN_DIM
+    assert_split_dilation(mixed, gate=None)
+
+
+def test_below_the_gate_the_whole_isometry_is_completed():
+    _, ch = sample_extremal(6, 6)
+    assert 6 * len(ch) == 36 < linalg._BLOCK_MIN_DIM
+    assert_whole_dilation(ch)
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_a_rotated_isometry_above_the_gate_is_completed_whole(n, haar_unitary):
+    _, ch = sample_extremal(n, n)
+    rotated = KrausChannel(haar_unitary(n, 1) @ ch.stack @ haar_unitary(n, 2))
+    assert n * len(rotated) >= linalg._BLOCK_MIN_DIM
+    assert_whole_dilation(rotated)
 
 
 @pytest.mark.parametrize("per_entry", [False, True])
@@ -281,6 +335,6 @@ def test_a_rotated_channel_is_not_split(haar_unitary):
     rotated = KrausChannel(haar_unitary(12, 1) @ ch.stack @ haar_unitary(12, 2))
     assert not _splits(_components(isometry(rotated) != 0))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("xchan.dilation._split_unitary", None)
+        mp.setattr(linalg, "_split_unitary", None)
         model = stinespring(rotated)
     assert model.unitarity_residual == _unitarity_residual(model.u)
