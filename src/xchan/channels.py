@@ -3,7 +3,9 @@
 A channel acts as ``rho -> sum_i C_i rho C_i^dag``.  Trace preservation is
 the completeness condition ``sum_i C_i^dag C_i = I``; a raw ``KrausChannel``
 may hold operator sets that violate it (useful for diagnostics), but
-``apply`` refuses to run them.
+``apply`` refuses to run them.  ``apply``'s output is not validated as a
+state again: the chain in ``tolerances`` bounds its trace, which is
+checked, and its PSD defect.
 
 The operators are held as one read-only ``(k, N, N)`` complex array,
 ``KrausChannel.stack``, validated once at construction; its completeness
@@ -45,7 +47,7 @@ from .linalg import (
     partial_trace,
     real_if_exact,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, _output_state
 from .tolerances import TOL_ORTH, TOL_PSD, TOL_RANK, TOL_TP, TOL_WEIGHT_SUM
 
 
@@ -172,13 +174,19 @@ def check_extremal(
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix, tol: float = TOL_TP) -> DensityMatrix:
-    """Channel action sum_i C_i rho C_i^dag on a validated state."""
+    """Channel action sum_i C_i rho C_i^dag on a validated state.
+
+    The output is not symmetrised and not decomposed: its trace is checked
+    at ``tolerances.output_trace_bound`` for the channel's completeness
+    residual, and its least eigenvalue obeys
+    ``tolerances.output_eigenvalue_floor``.
+    """
     if ch.dim != rho.dim:
         raise ValueError(f"channel dim {ch.dim} != state dim {rho.dim}")
     require_trace_preserving(
         ch, "refusing to apply a non-trace-preserving channel", tol
     )
-    return DensityMatrix(apply_to_matrix(ch, rho.mat))
+    return _output_state(apply_to_matrix(ch, rho.mat), len(ch), ch._tp_residual)
 
 
 def apply_to_matrix(ch: KrausChannel, x: np.ndarray) -> np.ndarray:

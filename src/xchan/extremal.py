@@ -8,10 +8,16 @@ diagonal, which makes the operators pairwise trace orthogonal for any choice
 of diagonals.  The family carries N^2 - N free real parameters: the N^2
 squared diagonal entries minus the N per-column completeness constraints.
 
-Any right unitary factors of the Kraus operators can be absorbed into the
-diagonals (they only permute singular values), so the parametrization has no
-separate V factors; ``pair_reduction_step`` exposes the conjugation identity
-that underlies this absorption as a verification utility.
+The family does not give every extremal channel.  Measured as the rank of
+the tangent map to the Choi matrix at a random point, its N^2 - N
+parameters are independent; a left rotation L C_i adds N^2 - 1 (rank
+2N^2 - N - 1), and a right rotation L C_i R, which the diagonals do not
+absorb, adds N^2 - 1 more (3N^2 - N - 2).  Channels of Kraus rank N form a
+set of dimension 2N^3 - 2N^2, and its generic members are extremal; the
+family with both rotations matches that dimension only at N = 2, the
+Ruskai-Szarek-Werner qubit case (``test_extremal`` pins the ranks at
+N = 2, 3, 4).  ``pair_reduction_step`` is the conjugation identity on a
+resolution of the identity, kept as a verification utility.
 """
 
 from __future__ import annotations

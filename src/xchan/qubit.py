@@ -38,13 +38,14 @@ Gram rank 2 of 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, _trusted_channel, apply_to_matrix
+from .channels import KrausChannel, _trusted_channel, apply
 from .errors import ValidationError
 from .linalg import ID2, PAULIS, SX, SY, _frozen
-from .states import DensityMatrix, bloch_to_rho, rho_to_bloch
+from .states import bloch_to_rho, rho_to_bloch
 
 # (I, sigma_x, sigma_y, sigma_z): the inputs whose images give the affine map.
 _BASIS = np.stack([ID2, *PAULIS])
@@ -108,12 +109,15 @@ def nu_to_diagonals(p: NuParams) -> tuple[float, float]:
     return float(a), float(b)
 
 
+@lru_cache(maxsize=1)
 def channel_from_nu(p: NuParams) -> KrausChannel:
     """Qubit channel with Bloch multipliers (nu1, nu2, nu1*nu2).
 
     It is extremal when nu1, nu2 < 1 or nu1 = nu2 = 1; with exactly one of
     them equal to 1 it is a mixture of two unitary channels (see the
-    module docstring).
+    module docstring).  The last result is kept (``NuParams`` hashes by
+    value, and the channel is immutable), so the same pair built twice in a
+    row is built once.
     """
     a, b = nu_to_diagonals(p)
     # sqrt(1 - a^2) cancels catastrophically as a -> 1 (nu1 -> nu2).  With
@@ -134,12 +138,15 @@ def channel_from_nu(p: NuParams) -> KrausChannel:
     return _trusted_channel(np.stack([ID2, u2])[keep] * d[keep, None, :])
 
 
+@lru_cache(maxsize=1)
 def bloch_affine(ch: KrausChannel) -> BlochAffine:
     """Affine Bloch-vector action of a qubit channel.
 
     t_lin[i, j] = Tr[sigma_i B(sigma_j)] / 2 and t_vec[i] =
     Tr[sigma_i B(I)] / 2, read off by applying the channel to the basis
-    (I, sigma_x, sigma_y, sigma_z) in one batched product.
+    (I, sigma_x, sigma_y, sigma_z) in one batched product.  The last result
+    is kept, keyed by the channel's identity (``KrausChannel`` equality is
+    identity, and both are immutable).
     """
     if ch.dim != 2:
         raise ValidationError(
@@ -173,17 +180,13 @@ def ellipsoid_samples(
 
     Inputs are uniform on the unit sphere (normalized Gaussians); outputs
     lie on the image ellipsoid.  Returns ``(w_in, w_out)`` as (count, 3)
-    arrays, row i of one matching row i of the other.
+    arrays, row i of one matching row i of the other.  A caller that has
+    just built ``bloch_affine(channel_from_nu(p))`` for the same ``p``
+    finds both in their caches.
     """
-    return _affine_samples(bloch_affine(channel_from_nu(p)), count, seed)
-
-
-def _affine_samples(
-    affine: BlochAffine, count: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``ellipsoid_samples`` for a channel whose affine map is ``affine``."""
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}")
+    affine = bloch_affine(channel_from_nu(p))
     rng = np.random.default_rng(seed)
     w_in = rng.standard_normal((count, 3))
     norms = np.linalg.norm(w_in, axis=1, keepdims=True)
@@ -198,7 +201,9 @@ def _affine_samples(
 
 
 def image_bloch(ch: KrausChannel, w) -> np.ndarray:
-    """Bloch vector of the channel output on the state with Bloch vector w."""
-    rho = bloch_to_rho(w)
-    out = apply_to_matrix(ch, rho.mat)
-    return rho_to_bloch(DensityMatrix(out))
+    """Bloch vector of the channel output on the state with Bloch vector w.
+
+    The channel must pass ``apply``'s completeness gate, which bounds the
+    output's trace and PSD defect (see ``tolerances``).
+    """
+    return rho_to_bloch(apply(ch, bloch_to_rho(w)))

@@ -12,14 +12,22 @@ import numpy as np
 
 from .errors import NotPSDError, NotUnitTraceError, ValidationError
 from .linalg import PAULIS, _frozen, _trusted, checked_hermitian, dagger
-from .tolerances import TOL_BLOCH_NORM, TOL_PSD, TOL_TRACE
+from .tolerances import TOL_BLOCH_NORM, TOL_PSD, TOL_TRACE, output_trace_bound
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace state.  Invariants are checked on creation,
-    in that order, on ``mat``: a read-only complex128 copy of the input,
-    made once.  Equality is identity."""
+    """Hermitian, PSD, unit-trace state.  ``DensityMatrix(m)`` checks the
+    invariants, in that order, on ``mat``: a read-only complex128 copy of
+    the input, made once.  Equality is identity.
+
+    States the package computes are not passed through this gate again.
+    ``random_density`` is PSD with unit trace by construction.  The outputs
+    of ``apply``, ``evolve_via_dilation`` and ``image_bloch`` are checked
+    only for their trace, at ``tolerances.output_trace_bound``; their least
+    eigenvalue obeys ``tolerances.output_eigenvalue_floor``, which can lie
+    below -TOL_PSD when the input state's does.
+    """
 
     mat: np.ndarray
 
@@ -82,3 +90,19 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
     h = dagger(g) @ g
     # g^dag g is PSD and Hermitian up to round-off; its trace is then 1.
     return _trusted(DensityMatrix, mat=_frozen(h / np.trace(h).real))
+
+
+def _output_state(out: np.ndarray, k: int, residual: float) -> DensityMatrix:
+    """The state that a channel of k operators with completeness residual
+    ``residual`` computed from a validated state: ``out``, a fresh (N, N)
+    complex128 array, frozen in place.
+
+    Only its trace is checked, at ``output_trace_bound``: it is Hermitian up
+    to round-off and its PSD defect is bounded by the Kraus form (see
+    ``tolerances``), so decomposing it again would only refuse what every
+    earlier gate accepted.
+    """
+    defect = abs(complex(np.trace(out)) - 1.0)
+    if not defect <= output_trace_bound(len(out), k, residual):
+        raise NotUnitTraceError("output trace is not 1", residual=defect)
+    return _trusted(DensityMatrix, mat=_frozen(out))

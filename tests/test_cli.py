@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -461,7 +462,7 @@ def _refuse(*args, **kwargs):
         (
             ["bloch", "--nu1", "0.8", "--nu2", "0.5", "--ellipsoid", "x.csv",
              "--count", str(MAX_BLOCH_COUNT + 1)],
-            ("_affine_samples", "channel_from_nu"),
+            ("ellipsoid_samples", "channel_from_nu"),
         ),
         (["sample", "--n", "1000000000", "--seed", "0"], ("sample_extremal",)),
     ],
@@ -526,3 +527,22 @@ def test_dilate_at_the_cap_reaches_the_library_and_shows_in_help(
         main(["dilate", str(path)])
     assert main(["dilate", "--help"]) == 0
     assert f"<= {MAX_DILATE_DIM}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_verdicts_and_exit_codes_hold_across_blas_thread_counts(tmp_path, haar_unitary):
+    """A rotated N=16 channel takes dense complex decompositions, whose bytes
+    may differ between thread counts; the verdicts and exit codes may not."""
+    _, ch = sample_extremal(16, 1)
+    path = tmp_path / "rot16.json"
+    path.write_text(dump_channel(KrausChannel(haar_unitary(16, 1) @ ch.stack @ haar_unitary(16, 2))))
+    outcomes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        for argv in (["check", str(path)], ["dilate", str(path), "--out", str(tmp_path / "d.json")]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "xchan", *argv], env=env, capture_output=True, text=True
+            )
+            verdicts = [line for line in proc.stdout.splitlines() if line.startswith("verdict:")]
+            outcomes.append((threads, argv[0], proc.returncode, verdicts))
+    assert [o[1:] for o in outcomes[:2]] == [o[1:] for o in outcomes[2:]]
+    assert [o[2:] for o in outcomes] == [(0, ["verdict: pass"])] * 4

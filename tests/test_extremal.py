@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xchan.channels import (
+    KrausChannel,
     check_extremal,
     check_trace_orthogonal,
     check_trace_preserving,
@@ -315,6 +316,54 @@ def test_exact_jacobian_of_complex_unitaries_matches_differences(n, haar_unitary
     assert np.max(np.abs(full - diff)) < 1e-6 * np.max(np.abs(diff))
     s = np.linalg.svd(exact, compute_uv=False)
     assert np.sum(s > JACOBIAN_RANK_TOL * s[0]) == n * n - n
+
+
+def _rotation(theta: np.ndarray) -> np.ndarray:
+    """exp(iH) for the Hermitian H with n^2 real coordinates ``theta``:
+    diagonal, then real and imaginary parts above the diagonal."""
+    n = math.isqrt(theta.size)
+    iu = np.triu_indices(n, 1)
+    h = np.diag(theta[:n]).astype(complex)
+    h[iu] = theta[n : n + iu[0].size] + 1j * theta[n + iu[0].size :]
+    h[iu[::-1]] = h[iu].conj()
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+def _tangent_rank(n: int, rotations: int, left: np.ndarray, right: np.ndarray) -> int:
+    """Rank of (s, H_L, H_R) -> Choi(e^{iH_L} L U_i D_i(s) R e^{iH_R}) at
+    H_L = H_R = 0, by central differences (step 1e-6, relative cutoff 1e-6);
+    ``rotations`` of the two generators are free (left first)."""
+    us = np.array(canonical_unitaries(n))
+    free = sample_interior(n, seed=n).diagonals[:-1] ** 2
+    x0 = np.concatenate([free.ravel(), np.zeros(rotations * n * n)])
+
+    def embed(x):
+        s = x[: n * n - n].reshape(n - 1, n)
+        d = np.sqrt(np.vstack([s, 1.0 - s.sum(axis=0)]))
+        gl = _rotation(x[n * n - n : 2 * n * n - n]) if rotations > 0 else np.eye(n)
+        gr = _rotation(x[2 * n * n - n :]) if rotations > 1 else np.eye(n)
+        j = choi(KrausChannel(gl @ left @ (us * d[:, None, :]) @ right @ gr))
+        return np.concatenate([j.real.ravel(), j.imag.ravel()])
+
+    step = 1e-6
+    jac = np.column_stack([
+        (embed(x0 + step * e) - embed(x0 - step * e)) / (2 * step) for e in np.eye(x0.size)
+    ])
+    sv = np.linalg.svd(jac, compute_uv=False)
+    return int(np.sum(sv > 1e-6 * sv[0]))
+
+
+@pytest.mark.parametrize("n, ranks", [(2, (2, 5, 8)), (3, (6, 14, 22)), (4, (12, 27, 42))])
+def test_tangent_ranks_of_the_family_and_its_rotations(n, ranks, haar_unitary):
+    """N^2 - N with no rotation, 2N^2 - N - 1 with a left one and
+    3N^2 - N - 2 with both: right rotations are not absorbed, and only at
+    N = 2 does the family reach the 2N^3 - 2N^2 dimensions of Kraus-rank-N
+    channels."""
+    left, right = haar_unitary(n, 90 + n), haar_unitary(n, 95 + n)
+    assert ranks == (n * n - n, 2 * n * n - n - 1, 3 * n * n - n - 2)
+    assert tuple(_tangent_rank(n, r, left, right) for r in range(3)) == ranks
+    assert (ranks[2] == 2 * n**3 - 2 * n**2) == (n == 2)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf, -math.inf])

@@ -14,7 +14,6 @@ from xchan.linalg import ID2, SX
 from xchan.qubit import (
     BlochAffine,
     NuParams,
-    _affine_samples,
     bloch_affine,
     channel_from_nu,
     ellipsoid_samples,
@@ -217,14 +216,13 @@ def test_ellipsoid_samples_validation_and_determinism():
     [(0.6, 0.6), (1.0, 1.0), (1.0, 0.5), (0.5, 1.0), (1e-12, 1e-12), (1e-12, 0.7), (0.8, 0.5), (0.3, 0.7)],
 )
 def test_samples_from_a_held_affine_map_are_the_ellipsoid_samples(nu1, nu2):
-    """``xchan bloch`` passes the affine map it already holds; the points
-    are the bits ``ellipsoid_samples`` gives, and those of its own steps."""
+    """``xchan bloch`` builds the affine map, then calls ``ellipsoid_samples``,
+    which finds it in the cache; the points are the bits of its own steps on
+    that map."""
     p = NuParams(nu1, nu2)
     affine = bloch_affine(channel_from_nu(p))
     for count, seed in ((1, 0), (200, 7), (1000, 123)):
-        w_in, w_out = _affine_samples(affine, count, seed)
-        ref_in, ref_out = ellipsoid_samples(p, count, seed)
-        assert w_in.tobytes() == ref_in.tobytes() and w_out.tobytes() == ref_out.tobytes()
+        w_in, w_out = ellipsoid_samples(p, count, seed)
         draws = np.random.default_rng(seed).standard_normal((count, 3))
         draws = draws / np.linalg.norm(draws, axis=1, keepdims=True)
         assert w_in.tobytes() == draws.tobytes()
@@ -266,3 +264,58 @@ def test_image_stays_inside_the_ball_for_random_channels():
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         out = w @ affine.t_lin.T + affine.t_vec
         assert np.max(np.linalg.norm(out, axis=1)) <= 1.0 + 1e-9
+
+
+CACHED = (channel_from_nu, bloch_affine)
+
+
+def clear_caches():
+    for fn in CACHED:
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("nu1, nu2", [(0.8, 0.5), (0.3, 0.9), (1.0, 1.0), (1e-12, 0.7)])
+def test_cold_and_warm_caches_give_the_same_bits(nu1, nu2):
+    def build():
+        p = NuParams(nu1, nu2)
+        ch = channel_from_nu(p)
+        affine = bloch_affine(ch)
+        w_in, w_out = ellipsoid_samples(p, 60, 11)
+        return [ch.stack, affine.t_lin, affine.t_vec, w_in, w_out]
+
+    clear_caches()
+    cold = build()
+    # The last pair and its channel are cached now; a fresh equal NuParams
+    # finds them.
+    warm = build()
+    assert [a.tobytes() for a in cold] == [a.tobytes() for a in warm]
+    clear_caches()
+    assert [a.tobytes() for a in build()] == [a.tobytes() for a in cold]
+
+
+def test_ellipsoid_samples_finds_what_its_caller_built():
+    clear_caches()
+    ch = channel_from_nu(NuParams(0.6, 0.2))
+    affine = bloch_affine(ch)
+    ellipsoid_samples(NuParams(0.6, 0.2), 10, 0)
+    assert channel_from_nu.cache_info()[:2] == (1, 1)  # one hit, one miss
+    assert bloch_affine.cache_info()[:2] == (1, 1)
+    assert bloch_affine(channel_from_nu(NuParams(0.6, 0.2))) is affine
+    # Another pair evicts both: the caches hold one entry each.
+    assert channel_from_nu(NuParams(0.5, 0.5)) is not ch
+    assert channel_from_nu.cache_info().currsize == 1
+
+
+def test_bloch_ellipsoid_csv_is_the_same_with_cold_and_warm_caches(tmp_path, capsys):
+    from xchan.cli import main
+
+    argv = ["bloch", "--nu1", "0.7", "--nu2", "0.3", "--ellipsoid", str(tmp_path / "e.csv"),
+            "--count", "40", "--seed", "5"]
+    texts = []
+    for _ in range(2):
+        clear_caches()
+        assert main(argv) == 0
+        texts.append((tmp_path / "e.csv").read_bytes())
+        assert main(argv) == 0
+        texts.append((tmp_path / "e.csv").read_bytes())
+    assert len(set(texts)) == 1
