@@ -26,6 +26,7 @@ completely positive, and its rank is the minimal Kraus count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -43,7 +44,6 @@ from .linalg import (
     as_complex,
     as_complex_stack,
     herm_eigvals,
-    matrix_rank,
     partial_trace,
     real_if_exact,
 )
@@ -56,8 +56,9 @@ class KrausChannel:
     """Ordered set of same-dimension square Kraus operators.
 
     Construction copies the operators once into ``stack``, a read-only
-    ``(k, N, N)`` complex128 array, after checking that there is at least
-    one, that all are square of one shape and that every entry is finite.
+    ``(k, N, N)`` complex128 array, after the one gate of a Kraus set
+    (``linalg.as_complex_stack``): at least one operator, all square of one
+    shape with N >= 1, every entry finite and within ``linalg.ENTRY_MAX``.
     ``kraus`` is the tuple of the k read-only views ``stack[i]``; the input
     may be any sequence of matrices or a ``(k, N, N)`` array, and later
     changes to it do not reach the channel.  Equality is identity.
@@ -67,16 +68,7 @@ class KrausChannel:
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        stack = as_complex_stack(self.kraus)
-        if stack.shape[1] != stack.shape[2]:
-            raise ValueError(
-                f"Kraus operators must be square matrices, got stack shape {stack.shape}"
-            )
-        if stack.shape[1] == 0:
-            raise ValueError(
-                f"Kraus operators must have at least one row, got stack shape {stack.shape}"
-            )
-        stack = _frozen(stack.copy())
+        stack = _frozen(as_complex_stack(self.kraus).copy())
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
 
@@ -162,13 +154,13 @@ def check_extremal(
         ch, "extremality is defined for trace-preserving channels", tol_tp
     )
     stack = real_if_exact(ch.stack)
-    # products[i*k + j] = C_i^dag C_j.
+    # products[i*k + j] = C_i^dag C_j.  They are finite, so ``_rank`` takes
+    # them without a gate: a gated set's parts are at most ENTRY_MAX, so a
+    # product entry's are at most 2 N ENTRY_MAX^2, and a ``kraus_from_choi``
+    # operator has |C_i|_F^2 equal to an eigenvalue of a finite J, which
+    # Cauchy-Schwarz carries to every product entry.
     products = stack.conj().transpose(0, 2, 1)[:, None] @ stack[None]
-    # Past the gate Cauchy-Schwarz bounds each product entry by N (1 +
-    # residual): finite, so matrix_rank's input gate is skipped unless a
-    # tolerance near double range let the residual through.
-    rank_of = _rank if ch._tp_residual <= 1e300 else matrix_rank
-    rank = rank_of(products.reshape(-1, ch.dim, ch.dim), tol_rank)
+    rank = _rank(products.reshape(-1, ch.dim, ch.dim), tol_rank)
     expected = len(ch) ** 2
     return ExtremalityResult(rank == expected, rank, expected)
 
@@ -225,20 +217,20 @@ def choi_output_trace(j: np.ndarray) -> np.ndarray:
 
 def choi_min_eigenvalue(j: np.ndarray) -> float:
     """Smallest eigenvalue of a Choi matrix; >= -TOL_PSD iff the map is CP."""
-    w = herm_eigvals(j)
-    if not w.size:
-        raise ValueError(f"Choi matrix must be N^2 x N^2 with N >= 1, got shape {np.shape(j)}")
-    return float(w[-1])
+    _choi_dim(j)
+    return float(herm_eigvals(j)[-1])
 
 
 def kraus_from_choi(j: np.ndarray, tol_rank: float = TOL_RANK) -> KrausChannel:
     """Canonical Kraus operators from a PSD Choi matrix.
 
-    One operator per eigenvalue above ``tol_rank``; the eigenbasis makes the
-    returned operators pairwise trace orthogonal.  Only the eigenvectors of
-    those eigenvalues are formed: on the block path of ``linalg`` a sampled
-    N=16 channel keeps 16 columns of 256.  A ``tol_rank`` that is not a
-    finite number >= 0 raises ``ValueError``, as in ``check_extremal``.
+    One operator per eigenvalue above ``tol_rank``, an absolute cutoff (J
+    has trace N), unlike ``check_extremal``'s relative one; the eigenbasis
+    makes the returned operators pairwise trace orthogonal.  Only the
+    eigenvectors of those eigenvalues are formed: on the block path of
+    ``linalg`` a sampled N=16 channel keeps 16 columns of 256.  A
+    ``tol_rank`` that is not a finite number >= 0 raises ``ValueError``, as
+    in ``check_extremal``.
     """
     _check_rank_tol(tol_rank, "tol_rank")
     n = _choi_dim(j)
@@ -286,8 +278,8 @@ def convex_combine(
 
 def _trusted_channel(stack: np.ndarray) -> KrausChannel:
     """``KrausChannel(stack)`` without the gate, for a non-empty (k, N, N)
-    complex128 stack of finite square matrices that the package built;
-    contiguous and frozen in place."""
+    complex128 stack of finite square matrices that the package built, whose
+    products C_i^dag C_j stay finite; contiguous and frozen in place."""
     stack = _frozen(np.ascontiguousarray(stack))
     return _trusted(KrausChannel, kraus=tuple(stack), stack=stack)
 
@@ -296,7 +288,7 @@ def _choi_dim(j: np.ndarray) -> int:
     # Shape only: the decomposition or partial trace that follows coerces j
     # and checks its entries.
     shape = np.shape(j)
-    n = round(np.sqrt(shape[0])) if len(shape) == 2 else 0
+    n = math.isqrt(shape[0]) if len(shape) == 2 else 0
     if len(shape) != 2 or shape[0] != shape[1] or n * n != shape[0] or n == 0:
         raise ValueError(f"Choi matrix must be N^2 x N^2 with N >= 1, got shape {shape}")
     return n

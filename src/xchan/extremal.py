@@ -30,7 +30,8 @@ import numpy as np
 from .channels import KrausChannel, _trusted_channel, choi
 from .errors import ColumnOverflowError, SingularComplementError, ValidationError
 from .linalg import (
-    _check_rank_tol, _frozen, _trusted, as_complex_stack, dagger, herm_eig, real_if_exact
+    _check_rank_tol, _count_above, _frozen, _trusted, as_complex_stack, dagger, herm_eig,
+    real_if_exact,
 )
 from .tolerances import (
     INTERIOR_MARGIN, JACOBIAN_RANK_TOL, TOL_COLUMN_SUM, TOL_PSD, TOL_SINGULAR, TOL_TP
@@ -135,17 +136,22 @@ def build_extremal(
     unitaries for the given dimension.
     """
     n = params.n
-    d = params.diagonals
-    keep = np.any(d != 0.0, axis=1)
-    if unitaries is None:
-        # Permutations times checked diagonals: finite and square, and some
-        # diagonal is kept, since each column's squares sum to 1.
-        return _trusted_channel(_canonical_stack(n)[keep] * d[keep, None, :])
-    us = as_complex_stack(unitaries)
+    us = _canonical_stack(n) if unitaries is None else as_complex_stack(unitaries)
     if us.shape != (n, n, n):
         raise ValueError(f"expected {n} unitaries of shape ({n}, {n}), got {us.shape}")
+    return _assemble(us, params.diagonals)
+
+
+def _assemble(us: np.ndarray, d: np.ndarray) -> KrausChannel:
+    """The channel U_i diag(D_i), without the gate, of an (n, n, n)
+    complex128 stack that would pass it and of checked diagonals.
+
+    Every entry of d lies in [0, 1], so the products keep the stack's
+    bound, and each column's squares sum to 1, so some row is kept.
+    """
+    keep = np.any(d != 0.0, axis=1)
     # Column m of U_i scales by d_{i,m}: U_i diag(D_i).
-    return KrausChannel(us[keep] * d[keep, None, :])
+    return _trusted_channel(us[keep] * d[keep, None, :])
 
 
 def sample_extremal(n: int, seed: int) -> tuple[ExtremalParams, KrausChannel]:
@@ -246,9 +252,7 @@ def parameter_jacobian_rank(
         jac = _exact_jacobian(d, canonical_unitaries(n))
     else:
         jac = _difference_jacobian(d, canonical_unitaries(n), step)
-    # A zero Jacobian counts nothing: no s exceeds 0.
-    s = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(s > rank_tol * s[0]))
+    return _count_above(np.linalg.svd(jac, compute_uv=False), rank_tol)
 
 
 def pair_reduction_step(
@@ -268,8 +272,6 @@ def pair_reduction_step(
     """
     mats = as_complex_stack(mats)
     n = mats.shape[1]
-    if mats.shape[2] != n:
-        raise ValueError(f"expected square matrices, got stack shape {mats.shape}")
     if not 0 <= drop_index < len(mats):
         raise ValueError(f"drop_index {drop_index} out of range")
     residual = float(np.max(np.abs(mats.sum(axis=0) - np.eye(n))))

@@ -7,9 +7,10 @@ Eigenvalues and singular values are always returned in descending order so
 downstream output is deterministic.
 
 Matrix input is checked by one gate per kind: ``as_complex`` (a finite 2-D
-matrix), ``as_complex_stack`` (a non-empty set of same-shape finite
-matrices) and ``checked_hermitian`` (a finite square matrix, Hermitian
-within tolerance).  Other modules call these rather than repeat them, and
+matrix), ``as_complex_stack`` (a Kraus set: a non-empty set of same-shape
+square finite matrices, N >= 1, every part within ``ENTRY_MAX``) and
+``checked_hermitian`` (a finite square matrix, Hermitian within
+tolerance).  Other modules call these rather than repeat them, and
 an array the package built is not gated again (``_rank``).  Likewise a
 value class instance the package built itself is made by ``_trusted``,
 which stores its read-only fields without the class's gate; each caller
@@ -68,12 +69,11 @@ the matrix's: the groups are then decomposed in real arithmetic
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import NotHermitianError
-from .tolerances import TOL_HERM, TOL_RANK
+from .tolerances import TOL_HERM
 
 # Pauli basis.  SX, SY, SZ square to the identity and are traceless.
 ID2 = np.eye(2, dtype=complex)
@@ -115,6 +115,13 @@ _SCATTER_MIN_DIM = 196
 # isometry's blocks is not searched.
 _COMPONENTS_CACHE_SIZE = 16
 
+# The largest real or imaginary part of an entry of a Kraus set, given to
+# ``as_complex_stack`` or decoded from a document (``serialize``).  The
+# product of two such entries has parts of at most 2e300, so every sum of
+# squares or pairwise products that the checks form, over fewer than 1e7
+# terms, stays below the double maximum 1.8e308 instead of overflowing.
+ENTRY_MAX = 1e150
+
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
@@ -132,23 +139,30 @@ def as_complex(m) -> np.ndarray:
 
 
 def as_complex_stack(mats) -> np.ndarray:
-    """Coerce a non-empty set of same-shape matrices to a (k, r, c) complex128
-    array, rejecting NaN/Inf entries.
+    """The one gate of a Kraus set: coerce a non-empty set of same-shape
+    square matrices, N >= 1, to a (k, N, N) complex128 array, rejecting
+    NaN/Inf entries and any real or imaginary part beyond ``ENTRY_MAX``.
 
-    ``mats`` is a sequence of 2-D matrices or a (k, r, c) array; the result
-    may share memory with an input that is already complex128.
+    ``mats`` is a sequence of matrices or a (k, N, N) array; the result
+    may share memory with an input that is already C-contiguous complex128.
     """
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
     try:
-        stack = np.asarray(mats, dtype=complex)
+        stack = np.asarray(mats, dtype=complex, order="C")
     except ValueError:
         shapes = [np.shape(m) for m in mats]
         raise ValueError(f"matrices differ in shape: {shapes}") from None
-    if stack.ndim != 3:
-        raise ValueError(f"expected a set of 2-D matrices, got shape {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise ValueError("matrix has non-finite entries")
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.shape[1]:
+        raise ValueError(
+            f"expected a set of square matrices with N >= 1, got stack shape {stack.shape}"
+        )
+    # One pass over the parts: the maximum is NaN if any part is.
+    top = np.abs(stack.view(float)).max()
+    if not top <= ENTRY_MAX:
+        if not np.isfinite(top):
+            raise ValueError("matrix has non-finite entries")
+        raise ValueError(f"matrix has a real or imaginary part beyond {ENTRY_MAX:.0e}")
     return stack
 
 
@@ -174,7 +188,7 @@ def herm_residual(m: np.ndarray) -> float:
 
 
 def _check_rank_tol(value: float, name: str) -> None:
-    """Refuse a relative rank cutoff that is not a finite number >= 0."""
+    """Refuse a rank cutoff that is not a finite number >= 0."""
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
@@ -219,22 +233,6 @@ def herm_eigvals(h: np.ndarray) -> np.ndarray:
     """
     _, parts = _checked_hermitian(h, _BLOCK_MIN_DIM)
     return _descending([np.linalg.eigvalsh(b) for b in parts])[0]
-
-
-def matrix_rank(mats: Sequence[np.ndarray] | np.ndarray, tol_rank: float = TOL_RANK) -> int:
-    """Numerical rank of a set of same-shaped matrices under vectorization.
-
-    ``mats`` is a sequence of matrices or an (m, r, c) array.  Counts
-    singular values above ``tol_rank`` times the largest one.
-
-    Raises
-    ------
-    ValueError
-        If ``tol_rank`` is not a finite number >= 0, or ``mats`` fails the
-        input gate (``as_complex_stack``).
-    """
-    _check_rank_tol(tol_rank, "tol_rank")
-    return _rank(as_complex_stack(mats), tol_rank)
 
 
 def checked_hermitian(h) -> np.ndarray:
@@ -340,9 +338,10 @@ def _descending(ws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _rank(stack: np.ndarray, tol_rank: float) -> int:
-    """``matrix_rank`` of a finite (m, r, c) real or complex array, without
-    the input gates: for arrays the package built itself.  Rows and
-    columns in no group add only zero singular values."""
+    """Numerical rank of a finite (m, r, c) real or complex array under
+    vectorization: its singular values above ``tol_rank`` times the largest
+    (``_count_above``).  No input gate: for arrays the package built itself.
+    Rows and columns in no group add only zero singular values."""
     a = stack.reshape(len(stack), -1)
     _, parts = _grouped(a, min(a.shape), _BLOCK_MIN_DIM)
     s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in parts], axis=None)

@@ -42,8 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, _trusted_channel, apply
+from .channels import KrausChannel, apply
 from .errors import ValidationError
+from .extremal import _assemble
 from .linalg import ID2, PAULIS, SX, SY, _frozen
 from .states import bloch_to_rho, rho_to_bloch
 
@@ -129,13 +130,11 @@ def channel_from_nu(p: NuParams) -> KrausChannel:
     last_b = np.sqrt(0.5 * ((1.0 - p.nu3) + root))
     last_a = abs(p.nu1 - p.nu2) / (2.0 * last_b) if last_b else 0.0
     d = np.array([[a, b], [last_a, last_b]])
-    keep = np.any(d != 0.0, axis=1)
     u2 = SX if p.nu1 >= p.nu2 else SY
     # build_extremal(ExtremalParams(d), [ID2, u2]) without either gate: the
     # identities 2ab = nu1 + nu2 and a^2 + b^2 = 1 + nu3 give each column's
-    # squares the sum 1 up to round-off, every entry is in [0, 1], and the
-    # kept (a, b) row makes a non-empty, finite, square complex128 stack.
-    return _trusted_channel(np.stack([ID2, u2])[keep] * d[keep, None, :])
+    # squares the sum 1 up to round-off, and every entry is in [0, 1].
+    return _assemble(np.stack([ID2, u2]), d)
 
 
 @lru_cache(maxsize=1)

@@ -10,9 +10,10 @@ parse -> serialize -> parse is the identity on values.
 
 Every JSON number passes one test, ``_is_finite_number``; matrices and other
 number tables are decoded by ``numbers_from_doc``, and a matrix entry must
-also stay within ``_ENTRY_MAX``.  Schema violations raise SchemaError naming
-the offending field; malformed JSON raises json.JSONDecodeError (with
-position) from the parser itself.  Every document is decoded by ``_loads``.
+also stay within ``linalg.ENTRY_MAX``, the bound of the Kraus-set gate.
+Schema violations raise SchemaError naming the offending field; malformed
+JSON raises json.JSONDecodeError (with position) from the parser itself.
+Every document is decoded by ``_loads``.
 """
 
 from __future__ import annotations
@@ -25,16 +26,10 @@ import numpy as np
 
 from .channels import KrausChannel, require_trace_preserving
 from .errors import SchemaError
+from .linalg import ENTRY_MAX
 from .states import DensityMatrix
 
 _DOUBLE_MAX = sys.float_info.max
-
-# The largest real or imaginary part of a channel or state matrix entry.
-# The product of two such entries is at most 2e300 in magnitude, so every
-# sum of squares or pairwise products that the checks form, over fewer
-# than 1e7 terms, stays below the double maximum 1.8e308 instead of
-# overflowing.
-_ENTRY_MAX = 1e150
 
 
 def matrix_to_doc(m: np.ndarray) -> list:
@@ -73,11 +68,11 @@ def numbers_from_doc(doc: Any, field: str, pairs: bool = False) -> np.ndarray:
 def matrix_from_doc(doc: Any, field: str) -> np.ndarray:
     """Decode one matrix of [re, im] pairs, reporting the field path of any
     violation.  Every bit of each part is kept, the sign of -0.0 included.
-    A part larger in magnitude than ``_ENTRY_MAX`` is refused."""
+    A part larger in magnitude than ``ENTRY_MAX`` is refused."""
     parts = numbers_from_doc(doc, field, pairs=True)
-    if np.abs(parts).max() > _ENTRY_MAX:
-        r, c, _ = np.argwhere(np.abs(parts) > _ENTRY_MAX)[0]
-        what = f"expected [re, im] parts of magnitude at most {_ENTRY_MAX:.0e}"
+    if np.abs(parts).max() > ENTRY_MAX:
+        r, c, _ = np.argwhere(np.abs(parts) > ENTRY_MAX)[0]
+        what = f"expected [re, im] parts of magnitude at most {ENTRY_MAX:.0e}"
         raise SchemaError(f"{field}[{r}][{c}]", what)
     return parts.view(complex)[..., 0]
 

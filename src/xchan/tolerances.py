@@ -19,8 +19,10 @@ TOL_UNITARY = 1e-10
 # ``complete_last_diagonal`` reports a column overflow.
 TOL_PSD = 1e-10
 
-# Numerical rank: relative singular-value cutoff (a value counts when it
-# exceeds TOL_RANK times the largest one).  Fixed in N.
+# Numerical rank.  Relative in ``check_extremal``: a singular value of the
+# products counts when it exceeds TOL_RANK times the largest one.  Absolute
+# in ``kraus_from_choi``: an eigenvalue of the Choi matrix (trace N) gives
+# an operator when it exceeds TOL_RANK.  Fixed in N.
 TOL_RANK = 1e-10
 
 # Trace preservation / unitality residual: absolute, max entry of

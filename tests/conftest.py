@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from xchan.tolerances import TOL_RANK
+
 _criterion_lines: list[str] = []
 
 
@@ -38,6 +40,19 @@ def haar_unitary():
         return q * (d / np.abs(d))
 
     return draw
+
+
+@pytest.fixture(scope="session")
+def svd_rank():
+    """``rank(mats)``: the rank of an (m, r, c) stack under vectorization by
+    one dense SVD, an oracle independent of ``linalg``'s rank kernel: the
+    singular values above ``TOL_RANK`` times the largest."""
+
+    def rank(mats: np.ndarray) -> int:
+        s = np.linalg.svd(np.reshape(mats, (len(mats), -1)), compute_uv=False)
+        return int(np.count_nonzero(s > TOL_RANK * s[0])) if s[0] > 0 else 0
+
+    return rank
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

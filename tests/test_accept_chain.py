@@ -4,7 +4,9 @@ A channel that passes the completeness gate and a state that passes
 ``validate_density`` must be accepted by every operation that computes from
 them, and the outputs' trace defect and least eigenvalue must lie within
 the bounds ``tolerances`` derives (``output_trace_bound``,
-``output_eigenvalue_floor``).  Two inputs pin the chain breaks those bounds
+``output_eigenvalue_floor``); both round trips give the channel back, its
+Choi matrix within acceptance criterion 8's tolerance and its dilation's
+operators bit for bit.  Two inputs pin the chain breaks those bounds
 mend: a channel whose completeness residual exceeds ``TOL_TRACE`` and
 ``TOL_UNITARY``, and a channel that gathers a state's negative eigenvalues
 into one output direction.
@@ -27,8 +29,9 @@ from xchan.channels import (
     check_trace_preserving,
     choi,
     choi_min_eigenvalue,
+    kraus_from_choi,
 )
-from xchan.dilation import DilationModel, evolve_via_dilation, stinespring
+from xchan.dilation import DilationModel, evolve_via_dilation, kraus_from_dilation, stinespring
 from xchan.errors import NotUnitTraceError, ValidationError
 from xchan.extremal import sample_extremal
 from xchan.serialize import dump_channel, dump_state
@@ -43,6 +46,9 @@ from xchan.tolerances import (
 )
 
 CHAIN = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+# Acceptance criterion 8: the Choi -> Kraus -> Choi distance.
+ROUND_TRIP_TOL = 1e-9
 
 # C = sqrt(1 + 5e-10) I_2: completeness residual 5e-10, within TOL_TP but
 # above TOL_TRACE and TOL_UNITARY.
@@ -131,6 +137,10 @@ def assert_chain_accepts(ch: KrausChannel, rho) -> None:
     model = stinespring(ch)
     assert model.unitarity_residual <= TOL_UNITARY + ch._tp_residual
     assert_within_bounds(evolve_via_dilation(model, rho), rho, k, model.unitarity_residual)
+    j = choi(ch)
+    assert np.abs(choi(kraus_from_choi(j)) - j).max() <= ROUND_TRIP_TOL
+    # V's columns are written into u exactly.
+    assert kraus_from_dilation(model).stack.tobytes() == ch.stack.tobytes()
     with tempfile.TemporaryDirectory() as tmp:
         chp, stp = Path(tmp, "ch.json"), Path(tmp, "rho.json")
         chp.write_text(dump_channel(ch))

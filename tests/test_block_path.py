@@ -2,7 +2,7 @@
 
 ``linalg`` decomposes a matrix over its groups: the whole matrix, or, from
 ``linalg._BLOCK_MIN_DIM`` rows and columns up (``herm_eig``,
-``herm_eigvals``, ``matrix_rank``) and from as many rows up (the unitary
+``herm_eigvals``, ``_rank``) and from as many rows up (the unitary
 completion of ``stinespring`` and the unitarity check of
 ``DilationModel``), the connected components of its exact nonzero pattern
 when there are several.
@@ -42,7 +42,6 @@ from xchan.linalg import (
     checked_hermitian,
     herm_eig,
     herm_eigvals,
-    matrix_rank,
 )
 from xchan.tolerances import TOL_RANK
 
@@ -67,7 +66,7 @@ def dense_rank(a: np.ndarray) -> int:
 
 def split(fn, *args):
     """``fn(*args)`` with the crossover of ``herm_eig``, ``herm_eigvals`` and
-    ``matrix_rank`` moved to 0, so a pattern that splits is split."""
+    ``_rank`` moved to 0, so a pattern that splits is split."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_BLOCK_MIN_DIM", 0)
         return fn(*args)
@@ -171,7 +170,7 @@ def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, haar_unitary
     assert np.array_equal(v_out, v[:, ::-1])
     a = products(rotated)
     assert not _splits(_components(a != 0))
-    assert matrix_rank(a.reshape(-1, n, n)) == dense_rank(a)
+    assert _rank(a.reshape(-1, n, n), TOL_RANK) == dense_rank(a)
 
 
 def isometry(ch: KrausChannel) -> np.ndarray:

@@ -16,6 +16,7 @@ values as if it were.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -518,8 +519,10 @@ def test_an_empty_kraus_operator_is_refused():
 
 @pytest.mark.parametrize("call", [choi_min_eigenvalue, kraus_from_choi, choi_output_trace])
 def test_an_empty_choi_matrix_is_refused(call):
-    with pytest.raises(ValueError, match=r"N >= 1, got shape \(0, 0\)"):
-        call(np.zeros((0, 0)))
+    # So is a matrix that is not N^2 x N^2: one shape gate for all three.
+    for shape in [(0, 0), (3, 3), (2, 3)]:
+        with pytest.raises(ValueError, match=r"N >= 1, got shape " + re.escape(str(shape))):
+            call(np.eye(*shape))
 
 
 def re_shape(shape) -> str:

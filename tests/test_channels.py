@@ -181,8 +181,11 @@ def test_choi_min_eigenvalue_of_a_rotated_channel_uses_the_complex_routine(
 
 
 def test_choi_min_eigenvalue_rejects_non_hermitian_input():
+    # 4 x 4: a Choi matrix's shape (N = 2), so the Hermiticity check decides.
+    skewed = np.zeros((4, 4))
+    skewed[0, 1] = 1.0
     with pytest.raises(NotHermitianError):
-        choi_min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        choi_min_eigenvalue(skewed)
 
 
 def test_kraus_from_choi_round_trips():

@@ -1,10 +1,11 @@
 """Every input gate rejects bad input the same way.
 
 Each public entry point that takes matrices goes through one of the linalg
-gates (a finite 2-D matrix, a set of same-shape finite matrices, a finite
-Hermitian matrix), and every operation that needs a trace-preserving channel
-goes through ``require_trace_preserving``.  These tests feed each entry
-point the same bad inputs and expect the same exception types.
+gates (a finite 2-D matrix, a Kraus set of same-shape square finite
+matrices with every part within ``ENTRY_MAX``, a finite Hermitian matrix),
+and every operation that needs a trace-preserving channel goes through
+``require_trace_preserving``.  These tests feed each entry point the same
+bad inputs and expect the same exception types, with no RuntimeWarning.
 """
 
 import json
@@ -32,22 +33,31 @@ from xchan.extremal import (
     sample_extremal,
     sample_interior,
 )
-from xchan.linalg import ID2, SX, herm_eig, herm_eigvals, matrix_rank
+from xchan.linalg import ENTRY_MAX, ID2, SX, herm_eig, herm_eigvals
 from xchan.serialize import dump_channel, parse_channel
 from xchan.states import DensityMatrix, random_density
 
 HALF = np.eye(2) / 2
 
-# name -> (call, a valid input); every call takes a set of matrices.
+# name -> (call, a valid input, a set with one part x that the call accepts
+# if the gate does); every call takes a set of matrices.
 STACK_GATES = {
-    "KrausChannel": (KrausChannel, [ID2]),
-    "matrix_rank": (matrix_rank, [ID2, SX]),
+    "KrausChannel": (KrausChannel, [ID2], lambda x: [x * ID2]),
     "build_extremal": (
         lambda us: build_extremal(ExtremalParams(np.full((2, 2), np.sqrt(0.5))), us),
         [ID2, SX],
+        lambda x: [x * ID2, SX],
     ),
-    "pair_reduction_step": (lambda mats: pair_reduction_step(mats, 0), [HALF, HALF]),
+    # The edge set sums to I exactly, and I - HALF is invertible.
+    "pair_reduction_step": (
+        lambda mats: pair_reduction_step(mats, 0),
+        [HALF, HALF],
+        lambda x: [HALF, HALF + x * SX, -x * SX],
+    ),
 }
+
+# Kinds of input that the gates accept.
+ACCEPTED = ("valid", "at-bound")
 
 # name -> (call, a valid input); every call takes one matrix.
 MATRIX_GATES = {
@@ -66,14 +76,16 @@ def _poisoned(good, value):
 
 
 def _stack_cases():
-    for name, (call, good) in STACK_GATES.items():
+    for name, (call, good, edge) in STACK_GATES.items():
         yield name, call, good, "valid"
         yield name, call, _poisoned(good, np.nan), "nan"
         yield name, call, _poisoned(good, np.inf), "inf"
         yield name, call, [good[0], np.eye(3)], "ragged"
-        # The rank of a set of r x c matrices is defined for r != c.
-        if name != "matrix_rank":
-            yield name, call, [np.ones((2, 3))] * len(good), "non-square"
+        yield name, call, [np.ones((2, 3))] * len(good), "non-square"
+        yield name, call, np.zeros((len(good), 0, 0)), "empty"
+        yield name, call, edge(ENTRY_MAX), "at-bound"
+        yield name, call, edge(np.nextafter(ENTRY_MAX, np.inf)), "past-bound"
+        yield name, call, edge(1e200), "huge"
 
 
 def _matrix_cases():
@@ -85,12 +97,13 @@ def _matrix_cases():
         yield name, call, np.ones((2, 3)) / 2, "non-square"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "call,mats,kind",
     [pytest.param(c, m, k, id=f"{n}-{k}") for n, c, m, k in [*_stack_cases(), *_matrix_cases()]],
 )
 def test_bad_input_is_a_value_error(call, mats, kind):
-    if kind == "valid":
+    if kind in ACCEPTED:
         call(mats)
     else:
         with pytest.raises(ValueError):
@@ -154,7 +167,6 @@ def test_non_trace_preserving_channels_raise_with_the_check_residual(call):
 
 RANK_CUTOFFS = {
     "check_extremal": lambda t: check_extremal(sample_extremal(3, 1)[1], tol_rank=t),
-    "matrix_rank": lambda t: matrix_rank([ID2, SX], tol_rank=t),
     "kraus_from_choi": lambda t: kraus_from_choi(choi(sample_extremal(3, 1)[1]), tol_rank=t),
     "parameter_jacobian_rank": lambda t: parameter_jacobian_rank(sample_interior(3, 1), rank_tol=t),
 }
@@ -175,7 +187,6 @@ def test_finite_non_negative_rank_cutoffs_are_accepted(name):
     for tol in (0.0, 1e-9, 0.5):
         RANK_CUTOFFS[name](tol)
     assert check_extremal(sample_extremal(3, 1)[1], tol_rank=0.0).gram_rank == 9
-    assert matrix_rank([ID2, SX], tol_rank=0.0) == 2
 
 
 def test_public_api_is_pinned():

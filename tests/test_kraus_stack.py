@@ -21,7 +21,7 @@ from xchan.channels import (
 )
 from xchan.dilation import kraus_from_dilation, stinespring
 from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
-from xchan.linalg import ID2, PAULIS, SX, SY, SZ, dagger, matrix_rank
+from xchan.linalg import ID2, PAULIS, SY, dagger
 from xchan.qubit import NuParams, bloch_affine, channel_from_nu
 from xchan.states import random_density
 from xchan.tolerances import TOL_RANK
@@ -247,22 +247,3 @@ def test_real_input_is_promoted_to_complex():
 def test_bad_operator_sets_raise_value_error(ops):
     with pytest.raises(ValueError):
         KrausChannel(ops)
-
-
-def test_matrix_rank_accepts_a_stacked_array():
-    stack = np.stack([ID2, SX, SY, SZ])
-    assert matrix_rank(stack) == 4
-    assert matrix_rank(stack[[0, 0, 1]]) == 2
-    assert matrix_rank(np.zeros((3, 2, 2))) == 0
-    assert matrix_rank(np.ones((2, 2, 3))) == 1
-
-
-def test_matrix_rank_rejects_bad_sets():
-    with pytest.raises(ValueError):
-        matrix_rank(np.zeros((0, 2, 2)))
-    with pytest.raises(ValueError):
-        matrix_rank([ID2, np.eye(3)])
-    with pytest.raises(ValueError):
-        matrix_rank(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        matrix_rank([ID2, np.full((2, 2), np.nan)])

@@ -13,7 +13,6 @@ from xchan.linalg import (
     herm_eig,
     herm_eigvals,
     herm_residual,
-    matrix_rank,
     partial_trace,
     real_if_exact,
 )
@@ -103,19 +102,6 @@ def test_herm_eigvals_match_herm_eig_and_reject_non_hermitian():
     assert np.allclose(w, herm_eig(h)[0], atol=1e-12)
     with pytest.raises(NotHermitianError):
         herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_matrix_rank_counts_independent_directions():
-    assert matrix_rank([ID2, SX, SY, SZ]) == 4
-    assert matrix_rank([ID2, 2.0 * ID2]) == 1
-    assert matrix_rank([np.zeros((2, 2))]) == 0
-
-
-def test_matrix_rank_input_validation():
-    with pytest.raises(ValueError):
-        matrix_rank([])
-    with pytest.raises(ValueError):
-        matrix_rank([ID2, np.eye(3)])
 
 
 def test_real_if_exact_views_exactly_real_input():

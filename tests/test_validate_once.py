@@ -5,8 +5,8 @@ measurement, and every check and gate of trace preservation reads that one
 value.  These tests pin the value (bit-equal to a fresh computation from
 ``ch.stack``, whichever entry point measures it first), the number of
 measurements along the CLI commands and the benchmark's channel chain, and
-the rank that ``check_extremal`` takes of its products without
-``matrix_rank``'s input gate.
+the rank that ``check_extremal`` takes of its products without an input
+gate.
 """
 
 import contextlib
@@ -33,7 +33,7 @@ from xchan.cli import main
 from xchan.dilation import evolve_via_dilation, stinespring
 from xchan.errors import NotTracePreservingError
 from xchan.extremal import sample_extremal
-from xchan.linalg import ID2, SX, matrix_rank
+from xchan.linalg import ID2, SX
 from xchan.serialize import channel_from_doc, dump_channel, dump_state
 from xchan.states import random_density
 
@@ -187,7 +187,7 @@ def product_stack(ch: KrausChannel) -> np.ndarray:
 @pytest.mark.parametrize("kind", ["sampled", "padded", "rotated"])
 @pytest.mark.parametrize("n", range(2, 17))
 def test_gram_rank_is_the_rank_of_the_product_stack(
-    n, kind, block_min, monkeypatch, haar_unitary
+    n, kind, block_min, monkeypatch, haar_unitary, svd_rank
 ):
     monkeypatch.setattr(linalg, "_BLOCK_MIN_DIM", block_min)
     _, ch = sample_extremal(n, 100 + n)
@@ -196,23 +196,21 @@ def test_gram_rank_is_the_rank_of_the_product_stack(
     elif kind == "rotated":
         ch = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
     result = check_extremal(ch)
-    assert result.gram_rank == matrix_rank(product_stack(ch))
+    assert result.gram_rank == svd_rank(product_stack(ch))
     assert result.extremal == (kind != "padded")
 
 
-def test_a_residual_beyond_double_range_keeps_the_product_gate():
-    # With an infinite tolerance an overflowed completeness sum passes the
-    # trace-preservation gate; its products overflow too, and matrix_rank's
-    # input gate refuses them with its own message.
-    ch = KrausChannel([1e200 * ID2, 1e200 * SX])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="matrix has non-finite entries"):
-            check_extremal(ch, tol_tp=np.inf)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_set_whose_products_would_overflow_is_refused_at_construction():
+    # Parts of 1e200 would overflow the completeness sum and the products;
+    # the Kraus-set gate refuses them before any check runs.
+    with pytest.raises(ValueError, match="real or imaginary part beyond 1e"):
+        KrausChannel([1e200 * ID2, 1e200 * SX])
 
 
-def test_a_huge_tolerance_takes_finite_products_to_the_rank():
+def test_a_huge_tolerance_takes_finite_products_to_the_rank(svd_rank):
     ch = KrausChannel([0.7e150 * ID2, 0.7e150 * SX])
     residual = check_trace_preserving(ch).residual
     assert 1e299 < residual <= 1e300
     result = check_extremal(ch, tol_tp=1e300)
-    assert result.gram_rank == matrix_rank(product_stack(ch)) == 2
+    assert result.gram_rank == svd_rank(product_stack(ch)) == 2
