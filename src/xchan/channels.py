@@ -59,6 +59,8 @@ class KrausChannel:
     ``(k, N, N)`` complex128 array, after the one gate of a Kraus set
     (``linalg.as_complex_stack``): at least one operator, all square of one
     shape with N >= 1, every entry finite and within ``linalg.ENTRY_MAX``.
+    ``kraus_from_choi`` builds its channel without that gate: its parts are
+    bounded by J's eigenvalues only, and can exceed ``ENTRY_MAX``.
     ``kraus`` is the tuple of the k read-only views ``stack[i]``; the input
     may be any sequence of matrices or a ``(k, N, N)`` array, and later
     changes to it do not reach the channel.  Equality is identity.

@@ -44,9 +44,10 @@ def haar_unitary():
 
 @pytest.fixture(scope="session")
 def svd_rank():
-    """``rank(mats)``: the rank of an (m, r, c) stack under vectorization by
-    one dense SVD, an oracle independent of ``linalg``'s rank kernel: the
-    singular values above ``TOL_RANK`` times the largest."""
+    """``rank(mats)``: the rank of m matrices (an (m, r, c) stack, or their
+    (m, r * c) rows) under vectorization by one dense SVD, an oracle
+    independent of ``linalg``'s rank kernel: the singular values above
+    ``TOL_RANK`` times the largest."""
 
     def rank(mats: np.ndarray) -> int:
         s = np.linalg.svd(np.reshape(mats, (len(mats), -1)), compute_uv=False)

@@ -59,11 +59,6 @@ def products(ch: KrausChannel) -> np.ndarray:
     return prods.reshape(len(ch) ** 2, -1)
 
 
-def dense_rank(a: np.ndarray) -> int:
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > TOL_RANK * s[0])) if s[0] > 0 else 0
-
-
 def split(fn, *args):
     """``fn(*args)`` with the crossover of ``herm_eig``, ``herm_eigvals`` and
     ``_rank`` moved to 0, so a pattern that splits is split."""
@@ -72,10 +67,11 @@ def split(fn, *args):
         return fn(*args)
 
 
-def assert_paths_agree(ch: KrausChannel) -> None:
+def assert_paths_agree(ch: KrausChannel, svd_rank) -> None:
     """Split and dense decompositions of the channel's Choi matrix and
-    product stack agree, and the Choi matrix survives a round trip through
-    the split eigenvectors."""
+    product stack agree (the product stack's rank against the ``svd_rank``
+    oracle), and the Choi matrix survives a round trip through the split
+    eigenvectors."""
     j = choi(ch)
     h = checked_hermitian(j)
     dense = np.linalg.eigvalsh(h)[::-1]
@@ -89,7 +85,7 @@ def assert_paths_agree(ch: KrausChannel) -> None:
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(j)))) <= 1e-12
 
     a = linalg.real_if_exact(products(ch))
-    assert split(_rank, a[:, None], TOL_RANK) == dense_rank(a)
+    assert split(_rank, a[:, None], TOL_RANK) == svd_rank(a)
 
     back = split(kraus_from_choi, j)
     assert np.max(np.abs(choi(back) - j)) <= 1e-12
@@ -107,9 +103,9 @@ def with_zero_diagonals(n: int, seed: int) -> ExtremalParams:
 @all_dims
 @PROPERTY
 @given(seed=seeds)
-def test_sampled_channels(n, seed):
+def test_sampled_channels(n, seed, svd_rank):
     _, ch = sample_extremal(n, seed)
-    assert_paths_agree(ch)
+    assert_paths_agree(ch, svd_rank)
     # One block per Kraus operator, each of rank one, plus zero singletons.
     blocks = _hermitian_blocks(checked_hermitian(choi(ch)))
     sizes = np.concatenate([np.full(len(ix), ix.shape[1]) for ix, _ in blocks])
@@ -120,7 +116,7 @@ def test_sampled_channels(n, seed):
 @all_dims
 @PROPERTY
 @given(seed=seeds, weight=st.floats(min_value=0.05, max_value=0.95))
-def test_padded_mixtures_with_overlapping_supports(n, seed, weight):
+def test_padded_mixtures_with_overlapping_supports(n, seed, weight, svd_rank):
     # Conjugating by a transposition moves the supports of the cyclic
     # shifts (N >= 5), so the mixture's operators overlap several of the
     # original blocks and merge them.
@@ -128,7 +124,7 @@ def test_padded_mixtures_with_overlapping_supports(n, seed, weight):
     swap = np.eye(n)[[1, 0, *range(2, n)]]
     moved = KrausChannel(swap @ ch.stack @ swap.T)
     mixed = convex_combine([ch, moved], [weight, 1.0 - weight])
-    assert_paths_agree(mixed)
+    assert_paths_agree(mixed, svd_rank)
     largest = max(ix.shape[1] for ix, _ in _hermitian_blocks(checked_hermitian(choi(mixed))))
     assert largest > n if n >= 5 else largest == n
 
@@ -136,9 +132,9 @@ def test_padded_mixtures_with_overlapping_supports(n, seed, weight):
 @all_dims
 @PROPERTY
 @given(seed=seeds)
-def test_diagonals_with_exact_zeros(n, seed):
+def test_diagonals_with_exact_zeros(n, seed, svd_rank):
     ch = build_extremal(with_zero_diagonals(n, seed))
-    assert_paths_agree(ch)
+    assert_paths_agree(ch, svd_rank)
     h = checked_hermitian(choi(ch))
     blocks = _hermitian_blocks(h)
     zero_rows = np.flatnonzero(~h.any(axis=1))
@@ -150,14 +146,14 @@ def test_diagonals_with_exact_zeros(n, seed):
 @all_dims
 @PROPERTY
 @given(seed=seeds)
-def test_raw_kraus_set_with_an_all_zero_operator(n, seed):
+def test_raw_kraus_set_with_an_all_zero_operator(n, seed, svd_rank):
     _, ch = sample_extremal(n, seed)
     padded = KrausChannel(np.concatenate([ch.stack, np.zeros((1, n, n))]))
-    assert_paths_agree(padded)
+    assert_paths_agree(padded, svd_rank)
 
 
 @pytest.mark.parametrize("n", range(7, 17))
-def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, haar_unitary):
+def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, haar_unitary, svd_rank):
     _, ch = sample_extremal(n, n)
     rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
     j = choi(rotated)
@@ -170,7 +166,7 @@ def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, haar_unitary
     assert np.array_equal(v_out, v[:, ::-1])
     a = products(rotated)
     assert not _splits(_components(a != 0))
-    assert _rank(a.reshape(-1, n, n), TOL_RANK) == dense_rank(a)
+    assert _rank(a.reshape(-1, n, n), TOL_RANK) == svd_rank(a)
 
 
 def isometry(ch: KrausChannel) -> np.ndarray:

@@ -7,12 +7,12 @@ Each output becomes one record: its bytes (arrays with dtype and shape,
 floats in hex, CLI runs as exit code, stdout, stderr and ``--out`` file)
 are hashed, and an exception is recorded as its type and message.
 
-    python tools/bitdiff.py [--max-n N] [--out FILE]
+    python tools/bitdiff.py
 
-writes the manifest, a JSON object from record name to digest, for the
+prints the manifest, a JSON object from record name to digest, for the
 ``xchan`` importable here (``--src DIR`` puts DIR first on the path), and
 
-    python tools/bitdiff.py --against REV [--max-n N]
+    python tools/bitdiff.py --against REV
 
 runs the grid in two child processes, one on this tree's ``src`` and one
 on a ``git archive`` of REV in a temporary directory, and prints the
@@ -224,7 +224,8 @@ def cli_records(max_n: int):
 
 
 def manifest(max_n: int = max(SIZES)) -> dict[str, str]:
-    """Record name -> SHA-256 of its bytes, for the ``xchan`` on the path.
+    """Record name -> SHA-256 of its bytes, for the ``xchan`` on the path
+    and the grid up to N = ``max_n``.
     The CLI runs in a temporary directory; the working directory is
     restored afterwards."""
     out = {}
@@ -244,13 +245,13 @@ def manifest(max_n: int = max(SIZES)) -> dict[str, str]:
     return out
 
 
-def child_manifest(src: Path, max_n: int) -> dict[str, str]:
+def child_manifest(src: Path) -> dict[str, str]:
     """The manifest of the tree whose package directory is ``src``, made in
     a child process."""
     env = dict(os.environ)
     for var in THREAD_VARS:
         env.setdefault(var, "1")
-    argv = [sys.executable, str(Path(__file__).resolve()), "--src", str(src), "--max-n", str(max_n)]
+    argv = [sys.executable, str(Path(__file__).resolve()), "--src", str(src)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
     if done.returncode:
         sys.exit(f"bitdiff: the grid failed on {src}:\n{done.stderr}")
@@ -263,7 +264,7 @@ def order(name: str) -> tuple:
     return function, int(n[2:]), label
 
 
-def against(rev: str, max_n: int) -> int:
+def against(rev: str) -> int:
     """Compare this tree's manifest with REV's; print the differences."""
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
@@ -271,8 +272,8 @@ def against(rev: str, max_n: int) -> int:
         archive.stdout.close()
         if archive.wait():
             sys.exit(f"bitdiff: git archive {rev} failed")
-        theirs = child_manifest(Path(tmp, "src"), max_n)
-    ours = child_manifest(ROOT / "src", max_n)
+        theirs = child_manifest(Path(tmp, "src"))
+    ours = child_manifest(ROOT / "src")
     differ = sorted((k for k in ours.keys() & theirs.keys() if ours[k] != theirs[k]), key=order)
     only_ours = sorted(ours.keys() - theirs.keys(), key=order)
     only_theirs = sorted(theirs.keys() - ours.keys(), key=order)
@@ -292,13 +293,11 @@ def against(rev: str, max_n: int) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--max-n", type=int, default=max(SIZES), help="largest N of the grid")
     parser.add_argument("--src", help="directory to import xchan from, ahead of the path")
-    parser.add_argument("--out", help="write the manifest here instead of stdout")
     parser.add_argument("--against", metavar="REV", help="compare this tree with git revision REV")
     args = parser.parse_args(argv)
     if args.against:
-        return against(args.against, args.max_n)
+        return against(args.against)
     if args.src:
         src = Path(args.src).resolve()
         sys.path.insert(0, str(src))
@@ -306,11 +305,7 @@ def main(argv=None) -> int:
 
         if src not in Path(xchan.__file__).resolve().parents:
             sys.exit(f"bitdiff: imported xchan from {xchan.__file__}, not from {src}")
-    text = json.dumps(manifest(args.max_n), indent=0, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    print(json.dumps(manifest(), indent=0, sort_keys=True))
     return 0
 
 
