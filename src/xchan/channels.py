@@ -35,14 +35,15 @@ import numpy as np
 
 from .errors import NotPSDError, NotTracePreservingError
 from .linalg import (
+    _check_entry_bound,
     _check_rank_tol,
     _frozen,
-    _herm_eig,
     _rank,
     _row_outer_sum,
     _trusted,
     as_complex,
     as_complex_stack,
+    herm_eig,
     herm_eigvals,
     partial_trace,
     real_if_exact,
@@ -59,8 +60,6 @@ class KrausChannel:
     ``(k, N, N)`` complex128 array, after the one gate of a Kraus set
     (``linalg.as_complex_stack``): at least one operator, all square of one
     shape with N >= 1, every entry finite and within ``linalg.ENTRY_MAX``.
-    ``kraus_from_choi`` builds its channel without that gate: its parts are
-    bounded by J's eigenvalues only, and can exceed ``ENTRY_MAX``.
     ``kraus`` is the tuple of the k read-only views ``stack[i]``; the input
     may be any sequence of matrices or a ``(k, N, N)`` array, and later
     changes to it do not reach the channel.  Equality is identity.
@@ -157,10 +156,8 @@ def check_extremal(
     )
     stack = real_if_exact(ch.stack)
     # products[i*k + j] = C_i^dag C_j.  They are finite, so ``_rank`` takes
-    # them without a gate: a gated set's parts are at most ENTRY_MAX, so a
-    # product entry's are at most 2 N ENTRY_MAX^2, and a ``kraus_from_choi``
-    # operator has |C_i|_F^2 equal to an eigenvalue of a finite J, which
-    # Cauchy-Schwarz carries to every product entry.
+    # them without a gate: every channel's parts are at most ENTRY_MAX, so a
+    # product entry's are at most 2 N ENTRY_MAX^2.
     products = stack.conj().transpose(0, 2, 1)[:, None] @ stack[None]
     rank = _rank(products.reshape(-1, ch.dim, ch.dim), tol_rank)
     expected = len(ch) ** 2
@@ -232,11 +229,13 @@ def kraus_from_choi(j: np.ndarray, tol_rank: float = TOL_RANK) -> KrausChannel:
     eigenvectors of those eigenvalues are formed: on the block path of
     ``linalg`` a sampled N=16 channel keeps 16 columns of 256.  A
     ``tol_rank`` that is not a finite number >= 0 raises ``ValueError``, as
-    in ``check_extremal``.
+    in ``check_extremal``.  So does an operator with a real or imaginary
+    part beyond ``linalg.ENTRY_MAX``, from an eigenvalue of J beyond about
+    ENTRY_MAX^2: the Kraus-set gate's own entry check and message.
     """
     _check_rank_tol(tol_rank, "tol_rank")
     n = _choi_dim(j)
-    w, v = _herm_eig(j, above=tol_rank)
+    w, v = herm_eig(j, above=tol_rank)
     low = float(w.min())
     if low < -TOL_PSD:
         raise NotPSDError("Choi matrix is not PSD", residual=low)
@@ -245,9 +244,10 @@ def kraus_from_choi(j: np.ndarray, tol_rank: float = TOL_RANK) -> KrausChannel:
         raise ValueError("Choi matrix has no eigenvalue above tol_rank")
     # Column m of v is vec(C_m) / sqrt(w_m); un-vec each in column-major order.
     vecs = (v * np.sqrt(w[:kept])).T
-    stack = vecs.reshape(-1, n, n).transpose(0, 2, 1)
+    stack = np.ascontiguousarray(vecs.reshape(-1, n, n).transpose(0, 2, 1))
     # Square and finite: each kept eigenvalue is > tol_rank >= 0 and v is
-    # unitary.
+    # unitary.  Only the gate's entry bound is left to check.
+    _check_entry_bound(stack)
     return _trusted_channel(stack)
 
 

@@ -15,7 +15,6 @@ memory without bound; a larger value is a usage error (exit 2).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -83,9 +82,6 @@ def main(argv=None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         return args.func(args)
-    except (SchemaError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

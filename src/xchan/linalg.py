@@ -9,10 +9,13 @@ downstream output is deterministic.
 Matrix input is checked by one gate per kind: ``as_complex`` (a finite 2-D
 matrix), ``as_complex_stack`` (a Kraus set: a non-empty set of same-shape
 square finite matrices, N >= 1, every part within ``ENTRY_MAX``) and
-``checked_hermitian`` (a finite square matrix, Hermitian within
-tolerance).  Other modules call these rather than repeat them, and
-an array the package built is not gated again (``_rank``).  Likewise a
-value class instance the package built itself is made by ``_trusted``,
+``_checked_hermitian``, behind ``herm_eig`` and ``herm_eigvals`` (a finite
+square matrix, Hermitian within tolerance: a state or a Choi matrix, whose
+least eigenvalue is then its PSD or its CP check).  Other modules call
+these rather than repeat them, and an array the package built is not gated
+again (``_rank``), except that ``kraus_from_choi`` runs the Kraus set's
+entry check (``_check_entry_bound``) on the operators it builds.  Likewise
+a value class instance the package built itself is made by ``_trusted``,
 which stores its read-only fields without the class's gate; each caller
 says why the invariants hold.
 
@@ -157,13 +160,20 @@ def as_complex_stack(mats) -> np.ndarray:
         raise ValueError(
             f"expected a set of square matrices with N >= 1, got stack shape {stack.shape}"
         )
+    _check_entry_bound(stack)
+    return stack
+
+
+def _check_entry_bound(stack: np.ndarray) -> None:
+    """Refuse a C-contiguous complex128 array with a NaN or Inf entry or a
+    real or imaginary part beyond ``ENTRY_MAX``: the entry check of the
+    Kraus-set gate."""
     # One pass over the parts: the maximum is NaN if any part is.
     top = np.abs(stack.view(float)).max()
     if not top <= ENTRY_MAX:
         if not np.isfinite(top):
             raise ValueError("matrix has non-finite entries")
         raise ValueError(f"matrix has a real or imaginary part beyond {ENTRY_MAX:.0e}")
-    return stack
 
 
 def real_if_exact(m: np.ndarray) -> np.ndarray:
@@ -209,21 +219,42 @@ def partial_trace(m: np.ndarray, dim_sys: int, dim_env: int) -> np.ndarray:
     return np.einsum("iaja->ij", m.reshape(dim_sys, dim_env, dim_sys, dim_env))
 
 
-def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h, above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as complex128
-    columns, so ``h = V @ diag(w) @ V.conj().T``.
+    Returns every eigenvalue and the eigenvectors as complex128 columns, so
+    ``h = V @ diag(w) @ V.conj().T``; given ``above``, only the leading
+    columns whose eigenvalues exceed it.
+
+    A matrix that is one group gives its reversed ``eigh`` columns.
+    Otherwise each kept eigenvector is scattered to its group's indices, so
+    the support of every column lies inside one group.
 
     Raises
     ------
     NotHermitianError
         If the input deviates from Hermiticity by more than ``TOL_HERM``.
     """
-    return _herm_eig(h)
+    groups, parts = _checked_hermitian(h)
+    pairs = [np.linalg.eigh(b) for b in parts]
+    w, order = _descending([wb for wb, _ in pairs])
+    kept = w.size if above is None else int(np.count_nonzero(w > above))
+    if groups is None:
+        return w, pairs[0][1][0, :, ::-1][:, :kept].astype(complex)
+    # dest[e] is the column that the e-th eigenvalue, in group order, lands
+    # in; eigenvalue e of a group is its eigh column -1 - e.
+    dest = order.argsort()
+    v = np.zeros((w.size, kept), dtype=complex)
+    start = 0
+    for (ix, _), (_, vb) in zip(groups, pairs):
+        cols = dest[start:start + ix.size].reshape(ix.shape)
+        start += ix.size
+        g, e = np.nonzero(cols < kept)
+        v[ix[g], cols[g, e, None]] = vb[g, :, -1 - e]
+    return w, v
 
 
-def herm_eigvals(h: np.ndarray) -> np.ndarray:
+def herm_eigvals(h) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, descending, without eigenvectors.
 
     Raises
@@ -231,23 +262,8 @@ def herm_eigvals(h: np.ndarray) -> np.ndarray:
     NotHermitianError
         If the input deviates from Hermiticity by more than ``TOL_HERM``.
     """
-    _, parts = _checked_hermitian(h, _BLOCK_MIN_DIM)
+    _, parts = _checked_hermitian(h)
     return _descending([np.linalg.eigvalsh(b) for b in parts])[0]
-
-
-def checked_hermitian(h) -> np.ndarray:
-    """``h`` after the finite, square and Hermiticity checks.
-
-    Returns ``h`` as complex128, or its real view when ``h`` is exactly
-    real; the residual is the same either way.
-
-    Raises
-    ------
-    NotHermitianError
-        If ``h`` deviates from Hermiticity by more than ``TOL_HERM``.
-    """
-    _, parts = _checked_hermitian(h, np.inf)
-    return parts[0][0]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -270,9 +286,9 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _checked_hermitian(h, gate: float) -> tuple[list, list[np.ndarray]]:
-    """The groups of ``h`` and their entries (``_grouped``, split from
-    ``gate`` rows up), after the finite, square and Hermiticity checks.
+def _checked_hermitian(h) -> tuple[list, list[np.ndarray]]:
+    """The groups of ``h`` and their entries (``_grouped``), after the
+    finite, square and Hermiticity checks.
 
     The checks read the gathered entries only.  They are the whole matrix's
     checks all the same, in the same order, with the same errors and
@@ -281,7 +297,7 @@ def _checked_hermitian(h, gate: float) -> tuple[list, list[np.ndarray]]:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={h.ndim}")
-    groups, parts = _grouped(h, min(h.shape), gate, hermitian=True)
+    groups, parts = _grouped(h, min(h.shape), hermitian=True)
     for b in parts:
         if not np.isfinite(b).all():
             raise ValueError("matrix has non-finite entries")
@@ -291,34 +307,6 @@ def _checked_hermitian(h, gate: float) -> tuple[list, list[np.ndarray]]:
     if res > TOL_HERM:
         raise NotHermitianError("matrix is not Hermitian", residual=res)
     return groups, parts
-
-
-def _herm_eig(h, above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``herm_eig``, keeping only the eigenvectors whose eigenvalues exceed
-    ``above`` when it is given: every eigenvalue, descending, and an
-    (n, kept) complex128 array of the leading eigenvectors.
-
-    One group's are its reversed ``eigh`` columns.  Otherwise each kept
-    eigenvector is scattered to its group's indices, so the support of
-    every column lies inside one group.
-    """
-    groups, parts = _checked_hermitian(h, _BLOCK_MIN_DIM)
-    pairs = [np.linalg.eigh(b) for b in parts]
-    w, order = _descending([wb for wb, _ in pairs])
-    kept = w.size if above is None else int(np.count_nonzero(w > above))
-    if groups is None:
-        return w, pairs[0][1][0, :, ::-1][:, :kept].astype(complex)
-    # dest[e] is the column that the e-th eigenvalue, in group order, lands
-    # in; eigenvalue e of a group is its eigh column -1 - e.
-    dest = order.argsort()
-    v = np.zeros((w.size, kept), dtype=complex)
-    start = 0
-    for (ix, _), (_, vb) in zip(groups, pairs):
-        cols = dest[start:start + ix.size].reshape(ix.shape)
-        start += ix.size
-        g, e = np.nonzero(cols < kept)
-        v[ix[g], cols[g, e, None]] = vb[g, :, -1 - e]
-    return w, v
 
 
 def _descending(ws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
@@ -343,7 +331,7 @@ def _rank(stack: np.ndarray, tol_rank: float) -> int:
     (``_count_above``).  No input gate: for arrays the package built itself.
     Rows and columns in no group add only zero singular values."""
     a = stack.reshape(len(stack), -1)
-    _, parts = _grouped(a, min(a.shape), _BLOCK_MIN_DIM)
+    _, parts = _grouped(a, min(a.shape))
     s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in parts], axis=None)
     return _count_above(s, tol_rank)
 
@@ -393,7 +381,7 @@ def _completed_unitary(v: np.ndarray) -> tuple[np.ndarray, float]:
     ``_unitarity_residual(u)``.
     """
     m, p = v.shape
-    groups, parts = _grouped(v, m, _BLOCK_MIN_DIM)
+    groups, parts = _grouped(v, m)
     if groups is not None:
         return _split_unitary(v, groups, parts)
     k = m // p
@@ -458,7 +446,7 @@ def _unitarity_residual(u: np.ndarray) -> float:
     zero, and an all-zero column of a split u, in no group, has a diagonal
     entry 0: a residual of 1.0.
     """
-    groups, parts = _grouped(u, len(u), _BLOCK_MIN_DIM)
+    groups, parts = _grouped(u, len(u))
     res = 1.0 if groups and sum(cols.size for _, cols in groups) < len(u) else 0.0
     for b in parts:
         res = max(res, _gram_residual(b))
@@ -474,20 +462,20 @@ def _gram_residual(b: np.ndarray) -> float:
     return float(np.abs(gram).max())
 
 
-def _grouped(m: np.ndarray, size: int, gate: float, hermitian: bool = False) -> tuple:
+def _grouped(m: np.ndarray, size: int, hermitian: bool = False) -> tuple:
     """The groups of ``m`` and their entries: ``(groups, parts)``.
 
     ``groups`` holds ``(rows, cols)`` pairs as ``_components`` gives them,
     and ``parts`` the blocks ``m[rows, cols]`` of each, one (g, a, b) array
     per group shape, under ``_real_if_exact``.  The whole matrix is the one
     group, ``groups`` None and ``parts`` the view ``[m[None]]``, unless
-    ``size`` is at least ``gate`` and the exact pattern of ``m`` splits
-    into more than one block.  ``size`` is m's smaller side, or the row
-    count of an isometry or unitary (``_completed_unitary``,
+    ``size`` is at least ``_BLOCK_MIN_DIM`` and the exact pattern of ``m``
+    splits into more than one block.  ``size`` is m's smaller side, or the
+    row count of an isometry or unitary (``_completed_unitary``,
     ``_unitarity_residual``).  A ``hermitian`` m is split along
     ``_hermitian_blocks``.
     """
-    if size >= gate:
+    if size >= _BLOCK_MIN_DIM:
         groups = _hermitian_blocks(m) if hermitian else _components(m.astype(bool))
         if _splits(groups):
             parts = [m[rows[:, :, None], cols[:, None, :]] for rows, cols in groups]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import haar
 
 from xchan.tolerances import TOL_RANK
 
@@ -33,11 +34,7 @@ def haar_unitary():
     """
 
     def draw(n: int, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        d = np.diag(r)
-        return q * (d / np.abs(d))
+        return haar(n, np.random.default_rng(seed))
 
     return draw
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from helpers import haar
 
 from xchan import cli
 from xchan.channels import (
@@ -59,12 +60,6 @@ GATHER = np.zeros((3, 3, 3))
 GATHER[0, 0, 0] = GATHER[1, 1, 1] = GATHER[2, 1, 2] = 1.0
 DELTA = 9e-11
 EDGE_STATE = np.diag([1.0 + 2 * DELTA, -DELTA, -DELTA])
-
-
-def haar(n: int, rng) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def base_stack(kind: str, n: int, seed: int) -> np.ndarray:

@@ -17,8 +17,9 @@ result bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import isometry, products, with_gates, with_zero_diagonals
 
 from xchan import linalg
 from xchan.channels import (
@@ -31,7 +32,7 @@ from xchan.channels import (
 )
 from xchan.dilation import DilationModel, stinespring
 from xchan.errors import ValidationError
-from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
+from xchan.extremal import build_extremal, sample_extremal
 from xchan.linalg import (
     _BLOCK_MIN_DIM,
     _components,
@@ -39,9 +40,9 @@ from xchan.linalg import (
     _rank,
     _splits,
     _unitarity_residual,
-    checked_hermitian,
     herm_eig,
     herm_eigvals,
+    real_if_exact,
 )
 from xchan.tolerances import TOL_RANK
 
@@ -52,52 +53,28 @@ all_dims = pytest.mark.parametrize("n", range(2, 17))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def products(ch: KrausChannel) -> np.ndarray:
-    """The flattened (k^2, N^2) stack of C_i^dag C_j that check_extremal ranks."""
-    stack = ch.stack
-    prods = stack.conj().transpose(0, 2, 1)[:, None] @ stack[None]
-    return prods.reshape(len(ch) ** 2, -1)
-
-
-def split(fn, *args):
-    """``fn(*args)`` with the crossover of ``herm_eig``, ``herm_eigvals`` and
-    ``_rank`` moved to 0, so a pattern that splits is split."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_BLOCK_MIN_DIM", 0)
-        return fn(*args)
-
-
 def assert_paths_agree(ch: KrausChannel, svd_rank) -> None:
     """Split and dense decompositions of the channel's Choi matrix and
     product stack agree (the product stack's rank against the ``svd_rank``
     oracle), and the Choi matrix survives a round trip through the split
     eigenvectors."""
     j = choi(ch)
-    h = checked_hermitian(j)
+    h = real_if_exact(j)
     dense = np.linalg.eigvalsh(h)[::-1]
-    w = split(herm_eigvals, h)
+    w = with_gates(herm_eigvals, h, block=0)
     assert np.all(np.diff(w) <= 0)
     assert np.max(np.abs(w - dense)) <= 1e-14
-    w_vec, v = split(herm_eig, h)
+    w_vec, v = with_gates(herm_eig, h, block=0)
     assert v.dtype == np.complex128
     assert np.max(np.abs(w_vec - dense)) <= 1e-14
     assert np.max(np.abs((v * w_vec) @ v.conj().T - j)) <= 1e-12
     assert np.max(np.abs(v.conj().T @ v - np.eye(len(j)))) <= 1e-12
 
-    a = linalg.real_if_exact(products(ch))
-    assert split(_rank, a[:, None], TOL_RANK) == svd_rank(a)
+    a = real_if_exact(products(ch))
+    assert with_gates(_rank, a, TOL_RANK, block=0) == svd_rank(a)
 
-    back = split(kraus_from_choi, j)
+    back = with_gates(kraus_from_choi, j, block=0)
     assert np.max(np.abs(choi(back) - j)) <= 1e-12
-
-
-def with_zero_diagonals(n: int, seed: int) -> ExtremalParams:
-    """Sampled diagonals with entries zeroed at random, each column kept
-    non-zero and renormalized."""
-    d, _ = sample_extremal(n, seed)
-    squares = d.diagonals**2 * (np.random.default_rng(seed).random((n, n)) < 0.5)
-    squares[0, squares.sum(axis=0) == 0] = 1.0
-    return ExtremalParams(np.sqrt(squares / squares.sum(axis=0)))
 
 
 @all_dims
@@ -107,7 +84,7 @@ def test_sampled_channels(n, seed, svd_rank):
     _, ch = sample_extremal(n, seed)
     assert_paths_agree(ch, svd_rank)
     # One block per Kraus operator, each of rank one, plus zero singletons.
-    blocks = _hermitian_blocks(checked_hermitian(choi(ch)))
+    blocks = _hermitian_blocks(real_if_exact(choi(ch)))
     sizes = np.concatenate([np.full(len(ix), ix.shape[1]) for ix, _ in blocks])
     assert np.sum(sizes == n) == len(ch)
     assert set(sizes.tolist()) <= {1, n}
@@ -125,22 +102,23 @@ def test_padded_mixtures_with_overlapping_supports(n, seed, weight, svd_rank):
     moved = KrausChannel(swap @ ch.stack @ swap.T)
     mixed = convex_combine([ch, moved], [weight, 1.0 - weight])
     assert_paths_agree(mixed, svd_rank)
-    largest = max(ix.shape[1] for ix, _ in _hermitian_blocks(checked_hermitian(choi(mixed))))
+    largest = max(ix.shape[1] for ix, _ in _hermitian_blocks(real_if_exact(choi(mixed))))
     assert largest > n if n >= 5 else largest == n
 
 
 @all_dims
 @PROPERTY
 @given(seed=seeds)
+@example(seed=235)  # at N = 2: one 2 x 2 block and no 1 x 1 block
 def test_diagonals_with_exact_zeros(n, seed, svd_rank):
     ch = build_extremal(with_zero_diagonals(n, seed))
     assert_paths_agree(ch, svd_rank)
-    h = checked_hermitian(choi(ch))
+    h = real_if_exact(choi(ch))
     blocks = _hermitian_blocks(h)
     zero_rows = np.flatnonzero(~h.any(axis=1))
-    singletons = [ix[:, 0] for ix, _ in blocks if ix.shape[1] == 1]
-    assert set(zero_rows.tolist()) <= set(np.concatenate(singletons).tolist())
-    assert np.sum(split(herm_eigvals, h) == 0.0) >= zero_rows.size
+    singletons = [i for ix, _ in blocks if ix.shape[1] == 1 for i in ix[:, 0].tolist()]
+    assert set(zero_rows.tolist()) <= set(singletons)
+    assert np.sum(with_gates(herm_eigvals, h, block=0) == 0.0) >= zero_rows.size
 
 
 @all_dims
@@ -158,41 +136,25 @@ def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, haar_unitary
     rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
     j = choi(rotated)
     assert j.imag.any()
-    assert not _splits(_hermitian_blocks(checked_hermitian(j)))
+    assert not _splits(_hermitian_blocks(j))
     w, v = np.linalg.eigh(j)
     assert np.array_equal(herm_eigvals(j), np.linalg.eigvalsh(j)[::-1])
     w_out, v_out = herm_eig(j)
     assert np.array_equal(w_out, w[::-1])
     assert np.array_equal(v_out, v[:, ::-1])
     a = products(rotated)
-    assert not _splits(_components(a != 0))
-    assert _rank(a.reshape(-1, n, n), TOL_RANK) == svd_rank(a)
-
-
-def isometry(ch: KrausChannel) -> np.ndarray:
-    """V with V[r*k + i, c] = C_i[r, c], the columns c*k of the dilation."""
-    return ch.stack.transpose(1, 0, 2).reshape(ch.dim * len(ch), ch.dim)
-
-
-def with_unitary_gate(gate: int, fn, *args):
-    """``fn(*args)`` with the block crossover moved to ``gate``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_BLOCK_MIN_DIM", gate)
-        return fn(*args)
-
-
-def dense_unitarity_residual(u: np.ndarray) -> float:
-    return with_unitary_gate(10**9, _unitarity_residual, u)
+    assert not _splits(_components(a.reshape(len(a), -1) != 0))
+    assert _rank(a, TOL_RANK) == svd_rank(a)
 
 
 def assert_dilation_paths_agree(ch: KrausChannel) -> DilationModel:
     """The block dilation keeps V exactly, is unitary, and its block
     residual is the dense one; returns the block model."""
-    model = with_unitary_gate(0, stinespring, ch)
+    model = with_gates(stinespring, ch, block=0)
     u, k = model.u, len(ch)
     assert np.array_equal(u[:, ::k], isometry(ch))
     assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-10
-    assert abs(model.unitarity_residual - dense_unitarity_residual(u)) <= 1e-15
+    assert abs(model.unitarity_residual - with_gates(_unitarity_residual, u, block=np.inf)) <= 1e-15
     return model
 
 
@@ -202,7 +164,7 @@ def assert_dilation_paths_agree(ch: KrausChannel) -> DilationModel:
 def test_block_dilation_of_sampled_channels(n, seed):
     _, ch = sample_extremal(n, seed)
     # Every operator is a scaled permutation, so each column of V is a block.
-    v = linalg.real_if_exact(isometry(ch))
+    v = real_if_exact(isometry(ch))
     assert sum(len(cols) for _, cols in _components(v != 0)) == n
     assert_dilation_paths_agree(ch)
 
@@ -231,7 +193,7 @@ def test_block_dilation_of_padded_mixtures_whose_blocks_merge(n, seed, weight):
     turn[:2, :2] = [[c, -s], [s, c]]
     moved = KrausChannel(turn @ ch.stack @ turn.T)
     mixed = convex_combine([ch, moved], [weight, 1.0 - weight])
-    v = linalg.real_if_exact(isometry(mixed))
+    v = real_if_exact(isometry(mixed))
     assert max(cols.shape[1] for _, cols in _components(v != 0)) > 1
     assert_dilation_paths_agree(mixed)
 
@@ -254,9 +216,9 @@ def test_rotated_channel_dilation_keeps_the_dense_result(n, haar_unitary):
     assert not _splits(_components(isometry(rotated) != 0))
     reference = dense_dilation_reference(rotated)
     for gate in (0, _BLOCK_MIN_DIM):
-        model = with_unitary_gate(gate, stinespring, rotated)
+        model = with_gates(stinespring, rotated, block=gate)
         assert np.array_equal(model.u, reference)
-        assert model.unitarity_residual == dense_unitarity_residual(reference)
+        assert model.unitarity_residual == with_gates(_unitarity_residual, reference, block=np.inf)
 
 
 def block_unitary(n: int = 12) -> np.ndarray:
@@ -270,7 +232,7 @@ def block_unitary(n: int = 12) -> np.ndarray:
 def test_a_zero_column_gives_a_unitarity_residual_of_one():
     u = block_unitary()
     u[:, 5] = 0.0
-    assert _unitarity_residual(u) == 1.0 == dense_unitarity_residual(u)
+    assert _unitarity_residual(u) == 1.0 == with_gates(_unitarity_residual, u, block=np.inf)
     with pytest.raises(ValidationError) as err:
         DilationModel(12, 12, u)
     assert err.value.residual == 1.0
@@ -286,7 +248,7 @@ def test_a_perturbed_unitary_is_refused_with_the_dense_residual(inside_a_block):
     with pytest.raises(ValidationError) as err:
         DilationModel(12, 12, u)
     assert abs(err.value.residual - dense) <= 1e-15
-    assert abs(err.value.residual - dense_unitarity_residual(u)) <= 1e-15
+    assert abs(err.value.residual - with_gates(_unitarity_residual, u, block=np.inf)) <= 1e-15
 
 
 def test_components_of_a_symmetric_pattern_with_a_zero_row():

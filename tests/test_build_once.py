@@ -11,7 +11,8 @@ values as if it were.
   bitwise what the gate would have stored, read-only, and accepted by it.
 - The canonical permutations are made once per N, read-only.
 - On the block path of ``linalg`` the Hermitian gate reads the blocks'
-  entries only, and refuses a matrix exactly as ``checked_hermitian`` does.
+  entries only, and refuses a matrix exactly as the whole-matrix gate
+  (the block gate moved to infinity) does.
 - ``kraus_from_choi`` forms only the eigenvectors it keeps.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import same_bits, with_gates
 
 from xchan import linalg
 from xchan.channels import (
@@ -56,7 +58,6 @@ from xchan.linalg import (
     _components,
     _hermitian_blocks,
     _splits,
-    checked_hermitian,
     herm_eig,
     herm_eigvals,
     real_if_exact,
@@ -210,10 +211,6 @@ def test_difference_columns_are_the_central_differences_in_parameter_order(n):
 
 # ---------------------------------------------------------------------------
 # Values built by the package skip the gate and equal the gate's.
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def assert_frozen_channel(ch: KrausChannel) -> None:
@@ -396,7 +393,7 @@ KINDS = [
 def test_block_first_gates_refuse_as_the_dense_gate(kind, n):
     for seed in range(3):
         h = crafted(kind, n, seed)
-        expected = outcome(checked_hermitian, h)
+        expected = outcome(lambda m: with_gates(herm_eigvals, m, block=np.inf), h)
         calls = [herm_eigvals, herm_eig, choi_min_eigenvalue]
         # A valid perturbation may leave J indefinite, which only
         # kraus_from_choi refuses.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import damping_channel
 
 from xchan.channels import (
     KrausChannel,
@@ -18,13 +19,8 @@ from xchan.channels import (
 from xchan.errors import NotHermitianError, NotPSDError, NotTracePreservingError
 from xchan.extremal import sample_extremal
 from xchan.linalg import _BLOCK_MIN_DIM, ID2, SX
+from xchan.serialize import dump_channel, parse_channel
 from xchan.states import random_density
-
-
-def damping_channel(gamma: float) -> KrausChannel:
-    c1 = np.diag([1.0, np.sqrt(1.0 - gamma)]).astype(complex)
-    c2 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((c1, c2))
 
 
 def naive_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
@@ -205,6 +201,19 @@ def test_kraus_from_choi_rejects_bad_input():
         kraus_from_choi(np.zeros((4, 4)))
     with pytest.raises(ValueError):
         kraus_from_choi(np.eye(5))
+
+
+def test_kraus_from_choi_refuses_an_operator_beyond_the_entry_bound():
+    # sqrt(1e302) = 1e151 > ENTRY_MAX: the Kraus-set gate's own refusal.
+    with pytest.raises(ValueError, match=r"^matrix has a real or imaginary part beyond 1e\+150$"):
+        kraus_from_choi(np.diag([1e302, 0.0, 0.0, 0.0]))
+
+
+def test_kraus_from_choi_output_within_the_entry_bound_passes_every_gate():
+    # sqrt(1e298) = 1e149 <= ENTRY_MAX.
+    ch = kraus_from_choi(np.diag([1e298, 0.0, 0.0, 0.0]))
+    assert np.array_equal(KrausChannel(ch.stack).stack, ch.stack)
+    assert np.array_equal(parse_channel(dump_channel(ch), require_tp=False).stack, ch.stack)
 
 
 def test_convex_combine_action_is_the_weighted_average():

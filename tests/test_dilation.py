@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import damping_channel
 
 from xchan.channels import KrausChannel, apply
 from xchan.dilation import (
@@ -12,12 +13,6 @@ from xchan.errors import NotTracePreservingError, ValidationError
 from xchan.extremal import sample_extremal
 from xchan.linalg import ID2, dagger
 from xchan.states import DensityMatrix, random_density
-
-
-def damping_channel(gamma: float) -> KrausChannel:
-    c1 = np.diag([1.0, np.sqrt(1.0 - gamma)]).astype(complex)
-    c2 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((c1, c2))
 
 
 def test_identity_channel_dilates_to_the_identity():

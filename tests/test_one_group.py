@@ -18,6 +18,7 @@ eigenvector) triples with Python's stable ``sorted``.
 
 import numpy as np
 import pytest
+from helpers import products, same_bits
 
 from xchan import linalg
 from xchan.channels import KrausChannel, choi, kraus_from_choi
@@ -34,21 +35,10 @@ def exact(m: np.ndarray) -> np.ndarray:
     return m.real if not m.imag.any() else m
 
 
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def channels(n: int, haar_unitary):
     _, ch = sample_extremal(n, 3 * n)
     yield "real", ch
     yield "rotated", KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
-
-
-def products(ch: KrausChannel) -> np.ndarray:
-    """The (k^2, N, N) stack of C_i^dag C_j."""
-    s = ch.stack
-    return (s.conj().transpose(0, 2, 1)[:, None] @ s[None]).reshape(-1, ch.dim, ch.dim)
 
 
 @pytest.mark.parametrize("n", ONE_GROUP_DIMS)
@@ -73,7 +63,7 @@ def test_eigendecomposition_is_the_direct_eigh(n, haar_unitary):
         assert same_bits(v_out, v[:, ::-1].astype(complex))
         kept = int(np.count_nonzero(w > TOL_RANK))
         assert kept == len(ch)
-        w_out, v_out = linalg._herm_eig(j, above=TOL_RANK)
+        w_out, v_out = herm_eig(j, above=TOL_RANK)
         assert same_bits(w_out, w[::-1])
         assert same_bits(v_out, v[:, ::-1][:, :kept].astype(complex))
 

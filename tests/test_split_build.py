@@ -25,19 +25,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import isometry, same_bits, with_gates, with_zero_diagonals
 
 from xchan import linalg
 from xchan.channels import KrausChannel, choi, convex_combine, kraus_from_choi
 from xchan.dilation import DilationModel, stinespring
-from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
+from xchan.extremal import build_extremal, sample_extremal
 from xchan.linalg import _components, _grouped, _splits, _unitarity_residual, real_if_exact
 
 PROPERTY = settings(max_examples=3, deadline=None, derandomize=True, database=None)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def vec_stack(ch: KrausChannel) -> np.ndarray:
@@ -52,25 +49,6 @@ def dense_choi(ch: KrausChannel) -> np.ndarray:
 
 def disjoint(ch: KrausChannel) -> bool:
     return int((vec_stack(ch) != 0).sum(axis=0).max()) <= 1
-
-
-def with_gates(fn, *args, scatter=None, block=None):
-    """``fn(*args)`` with the Choi scatter and the block crossovers moved."""
-    with pytest.MonkeyPatch.context() as mp:
-        if scatter is not None:
-            mp.setattr(linalg, "_SCATTER_MIN_DIM", scatter)
-        if block is not None:
-            mp.setattr(linalg, "_BLOCK_MIN_DIM", block)
-        return fn(*args)
-
-
-def with_zero_diagonals(n: int, seed: int) -> ExtremalParams:
-    """Sampled diagonals with entries zeroed at random, each column kept
-    non-zero and renormalized."""
-    d, _ = sample_extremal(n, seed)
-    squares = d.diagonals**2 * (np.random.default_rng(seed).random((n, n)) < 0.5)
-    squares[0, squares.sum(axis=0) == 0] = 1.0
-    return ExtremalParams(np.sqrt(squares / squares.sum(axis=0)))
 
 
 def padded_mixture(n: int, seed: int, weight: float = 0.3) -> KrausChannel:
@@ -182,11 +160,6 @@ def test_an_all_zero_operator_adds_nothing():
 # stinespring
 
 
-def isometry(ch: KrausChannel) -> np.ndarray:
-    """V with V[r*k + i, c] = C_i[r, c], the columns c*k of the dilation."""
-    return ch.stack.transpose(1, 0, 2).reshape(ch.dim * len(ch), ch.dim)
-
-
 def reference_split_dilation(ch: KrausChannel) -> np.ndarray:
     """The reference construction: the complement of V's range block by block
     into an (m, m - p) array, each block's free QR columns in the next run of
@@ -195,7 +168,7 @@ def reference_split_dilation(ch: KrausChannel) -> np.ndarray:
     n, k = ch.dim, len(ch)
     v = isometry(ch)
     m, p = v.shape
-    groups, parts = _grouped(v, m, 0)
+    groups, parts = with_gates(_grouped, v, m, block=0)
     assert groups is not None
     out = np.zeros((m, m - p), dtype=parts[0].dtype)
     start = 0
