@@ -8,8 +8,9 @@ Exit codes: 0 all requested checks pass, 1 a property check failed,
 2 usage or parse error.  The environment variable XCHAN_TOL (a decimal
 string) overrides the tolerances used by the check/dilate reports.
 
-Size arguments are capped so that no accepted command line can ask for
-memory without bound; a larger value is a usage error (exit 2).
+Size arguments, and the sizes of the documents that ``check``, ``dilate``
+and ``build --params`` read, are capped so that no accepted command line
+can ask for memory without bound; a larger value is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ from .tolerances import TOL_ORTH, TOL_PSD, TOL_TP, TOL_UNITARY
 # Largest ``sample --n``: N=64 already takes about 0.8 s, 85 MB and a
 # 2.7 MB channel document (k = N operators of N x N entries; one
 # ``python -m xchan`` process, one BLAS thread, 2-vCPU x86-64 guest).
+# ``build --params`` takes the same cap on N, and ``check`` takes it on N and
+# its square on N*k: the Choi matrix is N^2 x N^2 and the product stack
+# k^2 x N^2, so every channel ``sample`` writes stays checkable.
 MAX_SAMPLE_N = 64
 # Largest ``jacobian --n``.  The ``--step`` path sets it: its full real
 # embedding is 2 N^4 x (N^2 - N) floats, so memory grows as N^6, and N=16
@@ -98,14 +102,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a channel from diagonal params or (nu1, nu2)")
-    p.add_argument("--params", help="JSON file {'diagonals': [[...], ...]} with N or N-1 rows")
+    p.add_argument(
+        "--params",
+        help="JSON file {'diagonals': [[...], ...]} with N or N-1 rows of length "
+        f"N <= {MAX_SAMPLE_N}",
+    )
     p.add_argument("--nu1", type=float, help="x-axis multiplier in (0, 1]")
     p.add_argument("--nu2", type=float, help="y-axis multiplier in (0, 1]")
     p.add_argument("--out", help="write the channel document here instead of stdout")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("check", help="report channel properties and residuals")
-    p.add_argument("channel", help="channel document file")
+    p.add_argument(
+        "channel",
+        help=f"channel document file; its dimension N must be <= {MAX_SAMPLE_N} "
+        f"and N times its operator count k <= {MAX_SAMPLE_N**2}",
+    )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("apply", help="apply a channel to a state")
@@ -178,6 +190,8 @@ def _cmd_build(args) -> int:
         meta = {"nu1": p.nu1, "nu2": p.nu2}
     elif args.params is not None:
         params = _params_from_doc(_loads(Path(args.params).read_text()))
+        if params.n > MAX_SAMPLE_N:
+            raise ValueError(f"params dimension N = {params.n} must be at most {MAX_SAMPLE_N}")
         ch = build_extremal(params)
         meta = {"n": params.n}
     else:
@@ -188,6 +202,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_check(args) -> int:
     ch = parse_channel(Path(args.channel).read_text(), require_tp=False)
+    if ch.dim > MAX_SAMPLE_N:
+        raise ValueError(f"channel dimension N = {ch.dim} must be at most {MAX_SAMPLE_N}")
+    total = ch.dim * len(ch)
+    if total > MAX_SAMPLE_N**2:
+        raise ValueError(f"channel size N*k = {total} must be at most {MAX_SAMPLE_N**2}")
     tol_tp = _tol(TOL_TP)
     tol_orth = _tol(TOL_ORTH)
     tol_psd = _tol(TOL_PSD)

@@ -34,6 +34,7 @@ import numpy as np
 from .channels import KrausChannel, require_trace_preserving
 from .errors import ValidationError
 from .linalg import (
+    _check_entry_bound,
     _completed_unitary,
     _frozen,
     _trusted,
@@ -50,7 +51,10 @@ class DilationModel:
     """Unitary u on sys (x) env with a pure initial environment state.
 
     ``unitarity_residual`` is the max-entry residual of u^dag u - I that
-    construction measured against ``TOL_UNITARY``.
+    construction measured against ``TOL_UNITARY``.  A given u must be finite
+    and of shape (N k, N k), and no real or imaginary part of it may exceed
+    ``linalg.ENTRY_MAX`` (1e150), the Kraus sets' entry bound, so that the
+    residual cannot overflow; each is a ``ValueError``.
     """
 
     dim_sys: int
@@ -77,6 +81,7 @@ class DilationModel:
                 f"unitary must be {total}x{total} for dims "
                 f"({self.dim_sys}, {self.dim_env}), got {u.shape}"
             )
+        _check_entry_bound(np.ascontiguousarray(u))
         res = _unitarity_residual(u)
         _require_unitary(res, TOL_UNITARY)
         object.__setattr__(self, "u", _frozen(u.copy()))

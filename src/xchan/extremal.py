@@ -38,10 +38,9 @@ from .tolerances import (
 )
 
 # Row r of the canonical U_i is the unit row e_{_PERMUTATIONS[n][i][r]}:
-# {I, sigma_x} at n=2, the three symmetric permutations at n=3 and
-# {I(x)I, I(x)sx, sx(x)I, sx(x)sx} at n=4.
+# the three symmetric permutations at n=3 and {I(x)I, I(x)sx, sx(x)I,
+# sx(x)sx} at n=4.  Other n take the cyclic shifts.
 _PERMUTATIONS = {
-    2: ((0, 1), (1, 0)),
     3: ((0, 2, 1), (2, 1, 0), (1, 0, 2)),
     4: ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
 }

@@ -14,7 +14,9 @@ square matrix, Hermitian within tolerance: a state or a Choi matrix, whose
 least eigenvalue is then its PSD or its CP check).  Other modules call
 these rather than repeat them, and an array the package built is not gated
 again (``_rank``), except that ``kraus_from_choi`` runs the Kraus set's
-entry check (``_check_entry_bound``) on the operators it builds.  Likewise
+entry check (``_check_entry_bound``) on the operators it builds.  A state
+(``DensityMatrix``) and a given dilation unitary (``DilationModel``) take
+the same entry check besides their own gate.  Likewise
 a value class instance the package built itself is made by ``_trusted``,
 which stores its read-only fields without the class's gate; each caller
 says why the invariants hold.
@@ -165,11 +167,12 @@ def as_complex_stack(mats) -> np.ndarray:
 
 
 def _check_entry_bound(stack: np.ndarray) -> None:
-    """Refuse a C-contiguous complex128 array with a NaN or Inf entry or a
-    real or imaginary part beyond ``ENTRY_MAX``: the entry check of the
-    Kraus-set gate."""
+    """Refuse a C-contiguous complex128 array of at least one dimension with
+    a NaN or Inf entry or a real or imaginary part beyond ``ENTRY_MAX``: the
+    entry check of the Kraus-set gate, of the state gate and of a given
+    dilation unitary."""
     # One pass over the parts: the maximum is NaN if any part is.
-    top = np.abs(stack.view(float)).max()
+    top = np.abs(stack.view(float)).max(initial=0.0)
     if not top <= ENTRY_MAX:
         if not np.isfinite(top):
             raise ValueError("matrix has non-finite entries")

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPSDError, NotUnitTraceError, ValidationError
-from .linalg import PAULIS, _frozen, _trusted, dagger, herm_eigvals, real_if_exact
+from .linalg import (
+    PAULIS, _check_entry_bound, _frozen, _trusted, dagger, herm_eigvals, real_if_exact,
+)
 from .tolerances import TOL_BLOCH_NORM, TOL_PSD, TOL_TRACE, output_trace_bound
 
 
@@ -19,10 +21,13 @@ from .tolerances import TOL_BLOCH_NORM, TOL_PSD, TOL_TRACE, output_trace_bound
 class DensityMatrix:
     """Hermitian, unit-trace, PSD state.  ``DensityMatrix(m)`` checks the
     invariants, in that order, on ``mat``: a read-only complex128 copy of
-    the input, made once.  Its eigenvalues come from ``herm_eigvals``, the
-    Hermitian gate that also decides complete positivity of a Choi matrix,
-    so a state from 40 rows up whose exact pattern splits is decomposed
-    block by block.  Equality is identity.
+    the input, made once.  Before them it refuses, with ``ValueError``, a
+    NaN or Inf entry and any real or imaginary part beyond
+    ``linalg.ENTRY_MAX`` (1e150), the Kraus sets' entry bound, so that no
+    sum the checks take can overflow.  Its eigenvalues come from
+    ``herm_eigvals``, the Hermitian gate that also decides complete
+    positivity of a Choi matrix, so a state from 40 rows up whose exact
+    pattern splits is decomposed block by block.  Equality is identity.
 
     States the package computes are not passed through this gate again.
     ``random_density`` is PSD with unit trace by construction.  The outputs
@@ -40,6 +45,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.mat, dtype=complex)
+        # Checked on a C-contiguous copy where m is not one: m keeps its
+        # layout, and so the bits of everything computed from it.
+        _check_entry_bound(np.ascontiguousarray(m))
         w = herm_eigvals(m)
         # Summed over the real view when m is exactly real: the complex sum
         # can round the residual differently.

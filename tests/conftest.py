@@ -1,8 +1,14 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from helpers import haar
 
 from xchan.tolerances import TOL_RANK
+
+# The channel kinds the tests share with tools/bitdiff.py (``import kinds``).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from kinds import haar  # noqa: E402
 
 _criterion_lines: list[str] = []
 
@@ -28,9 +34,8 @@ def criterion():
 def haar_unitary():
     """``draw(n, seed)``: a Haar-random n x n unitary, the same for the same seed.
 
-    Rotating a channel's Kraus set to ``U C_i V`` with two such unitaries
-    keeps it CPTP and extremal but gives every matrix built from it a
-    nonzero imaginary part.
+    ``kinds.rotated(ch, seed)`` rotates a channel with the unitaries drawn
+    at ``seed`` and ``seed + 1``.
     """
 
     def draw(n: int, seed: int) -> np.ndarray:

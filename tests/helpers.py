@@ -9,7 +9,6 @@ import pytest
 
 from xchan import linalg
 from xchan.channels import KrausChannel
-from xchan.extremal import ExtremalParams, sample_extremal
 
 
 def with_gates(fn, *args, block=None, scatter=None):
@@ -29,13 +28,6 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def haar(n: int, rng) -> np.ndarray:
-    """A Haar-random n x n unitary drawn from the generator ``rng``."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def damping_channel(gamma: float) -> KrausChannel:
     c1 = np.diag([1.0, np.sqrt(1.0 - gamma)]).astype(complex)
     c2 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
@@ -53,10 +45,25 @@ def isometry(ch: KrausChannel) -> np.ndarray:
     return ch.stack.transpose(1, 0, 2).reshape(ch.dim * len(ch), ch.dim)
 
 
-def with_zero_diagonals(n: int, seed: int) -> ExtremalParams:
-    """Sampled diagonals with entries zeroed at random, each column kept
-    non-zero and renormalized."""
-    d, _ = sample_extremal(n, seed)
-    squares = d.diagonals**2 * (np.random.default_rng(seed).random((n, n)) < 0.5)
-    squares[0, squares.sum(axis=0) == 0] = 1.0
-    return ExtremalParams(np.sqrt(squares / squares.sum(axis=0)))
+def dense_dilation(ch: KrausChannel) -> np.ndarray:
+    """The dilation unitary from one complete QR of the whole of V, real
+    when V is: V in u's columns c*k, the QR's free columns in the others."""
+    n, k = ch.dim, len(ch)
+    v = linalg.real_if_exact(isometry(ch))
+    u = np.empty((n * k, n * k), dtype=complex)
+    u.reshape(n * k, n, k)[:, :, 0] = v
+    u.reshape(n * k, n, k)[:, :, 1:] = (
+        np.linalg.qr(v, mode="complete")[0][:, n:].reshape(n * k, n, k - 1)
+    )
+    return u
+
+
+def ref_apply(ch: KrausChannel, x) -> np.ndarray:
+    """sum_i C_i x C_i^dag, operator by operator."""
+    return sum(c @ x @ c.conj().T for c in ch.kraus)
+
+
+def ref_choi(ch: KrausChannel) -> np.ndarray:
+    """J = sum_kl E_kl (x) B(E_kl) over the matrix units E_kl, k major."""
+    n = ch.dim
+    return sum(np.kron(e, ref_apply(ch, e)) for e in np.eye(n * n).reshape(-1, n, n))

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from helpers import haar
+import kinds
 
 from xchan import cli
 from xchan.channels import (
@@ -54,31 +54,24 @@ ROUND_TRIP_TOL = 1e-9
 # C = sqrt(1 + 5e-10) I_2: completeness residual 5e-10, within TOL_TP but
 # above TOL_TRACE and TOL_UNITARY.
 SCALED_IDENTITY = np.sqrt(1.0 + 5e-10) * np.eye(2)[None]
-# {|0><0|, |1><1|, |1><2|}: exactly trace preserving, and it maps the
-# negative part of diag(1 + 2d, -d, -d) onto |1>: output eigenvalue -2d.
-GATHER = np.zeros((3, 3, 3))
-GATHER[0, 0, 0] = GATHER[1, 1, 1] = GATHER[2, 1, 2] = 1.0
+# ``kinds.gather(3)`` = {|0><0|, |1><1|, |1><2|} maps the negative part of
+# diag(1 + 2d, -d, -d) onto |1>: output eigenvalue -2d.
 DELTA = 9e-11
 EDGE_STATE = np.diag([1.0 + 2 * DELTA, -DELTA, -DELTA])
 
 
 def base_stack(kind: str, n: int, seed: int) -> np.ndarray:
     """A trace-preserving Kraus stack of the given kind."""
-    rng = np.random.default_rng(seed)
     if kind == "sampled":
         return sample_extremal(n, seed)[1].stack
     if kind == "rotated":
-        return haar(n, rng) @ sample_extremal(n, seed)[1].stack @ haar(n, rng)
+        return kinds.rotated(sample_extremal(n, seed)[1], seed).stack
     if kind == "isometry":
+        rng = np.random.default_rng(seed)
         k = int(rng.integers(1, n + 2))
         z = rng.standard_normal((n * k, n)) + 1j * rng.standard_normal((n * k, n))
         return np.linalg.qr(z)[0].reshape(k, n, n)
-    # |0><0| and |1><j| for j >= 1: every negative part of a diagonal
-    # state lands on |1>.
-    stack = np.zeros((n, n, n))
-    stack[0, 0, 0] = 1.0
-    stack[np.arange(1, n), 1, np.arange(1, n)] = 1.0
-    return stack
+    return kinds.gather(n).stack
 
 
 @st.composite
@@ -104,7 +97,7 @@ def states(draw, n):
     lam = np.concatenate([high * (total - sum(low)) / high.sum(), low])
     if draw(st.booleans()):
         return np.diag(lam)
-    w = haar(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    w = kinds.haar(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     m = (w * lam) @ w.conj().T
     return 0.5 * (m + m.conj().T)
 
@@ -173,7 +166,7 @@ def test_the_trace_chain_document_is_accepted_everywhere():
 def test_the_psd_edge_state_through_the_gathering_set_is_accepted():
     """The output eigenvalue -2 delta = -1.8e-10 lies below -TOL_PSD and
     above the derived floor; ``apply`` raised ``NotPSDError`` on it."""
-    ch = KrausChannel(GATHER)
+    ch = kinds.gather(3)
     rho = validate_density(EDGE_STATE)
     assert check_trace_preserving(ch).residual == 0.0
     out = apply(ch, rho)

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import isometry, products, with_gates, with_zero_diagonals
+import kinds
+from helpers import dense_dilation, isometry, products, with_gates
 
 from xchan import linalg
 from xchan.channels import (
@@ -27,7 +28,6 @@ from xchan.channels import (
     check_extremal,
     choi,
     choi_min_eigenvalue,
-    convex_combine,
     kraus_from_choi,
 )
 from xchan.dilation import DilationModel, stinespring
@@ -97,10 +97,7 @@ def test_padded_mixtures_with_overlapping_supports(n, seed, weight, svd_rank):
     # Conjugating by a transposition moves the supports of the cyclic
     # shifts (N >= 5), so the mixture's operators overlap several of the
     # original blocks and merge them.
-    _, ch = sample_extremal(n, seed)
-    swap = np.eye(n)[[1, 0, *range(2, n)]]
-    moved = KrausChannel(swap @ ch.stack @ swap.T)
-    mixed = convex_combine([ch, moved], [weight, 1.0 - weight])
+    mixed = kinds.mixture(sample_extremal(n, seed)[1], kinds.swap(n), weight)
     assert_paths_agree(mixed, svd_rank)
     largest = max(ix.shape[1] for ix, _ in _hermitian_blocks(real_if_exact(choi(mixed))))
     assert largest > n if n >= 5 else largest == n
@@ -111,7 +108,7 @@ def test_padded_mixtures_with_overlapping_supports(n, seed, weight, svd_rank):
 @given(seed=seeds)
 @example(seed=235)  # at N = 2: one 2 x 2 block and no 1 x 1 block
 def test_diagonals_with_exact_zeros(n, seed, svd_rank):
-    ch = build_extremal(with_zero_diagonals(n, seed))
+    ch = build_extremal(kinds.zero_diagonals(n, seed))
     assert_paths_agree(ch, svd_rank)
     h = real_if_exact(choi(ch))
     blocks = _hermitian_blocks(h)
@@ -125,15 +122,12 @@ def test_diagonals_with_exact_zeros(n, seed, svd_rank):
 @PROPERTY
 @given(seed=seeds)
 def test_raw_kraus_set_with_an_all_zero_operator(n, seed, svd_rank):
-    _, ch = sample_extremal(n, seed)
-    padded = KrausChannel(np.concatenate([ch.stack, np.zeros((1, n, n))]))
-    assert_paths_agree(padded, svd_rank)
+    assert_paths_agree(kinds.padded(sample_extremal(n, seed)[1]), svd_rank)
 
 
 @pytest.mark.parametrize("n", range(7, 17))
-def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, haar_unitary, svd_rank):
-    _, ch = sample_extremal(n, n)
-    rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
+def test_rotated_channel_is_one_block_and_keeps_the_dense_result(n, svd_rank):
+    rotated = kinds.rotated(sample_extremal(n, n)[1], n)
     j = choi(rotated)
     assert j.imag.any()
     assert not _splits(_hermitian_blocks(j))
@@ -173,7 +167,7 @@ def test_block_dilation_of_sampled_channels(n, seed):
 @PROPERTY
 @given(seed=seeds)
 def test_block_dilation_fills_zero_rows_with_unit_columns(n, seed):
-    ch = build_extremal(with_zero_diagonals(n, seed))
+    ch = build_extremal(kinds.zero_diagonals(n, seed))
     u = assert_dilation_paths_agree(ch).u
     for r in np.flatnonzero(~isometry(ch).any(axis=1)):
         (c,) = np.flatnonzero(u[r])
@@ -187,34 +181,17 @@ def test_block_dilation_fills_zero_rows_with_unit_columns(n, seed):
 def test_block_dilation_of_padded_mixtures_whose_blocks_merge(n, seed, weight):
     # A rotation in the (0, 1) plane gives rows with two nonzero entries, so
     # the mixture's V joins columns that the sampled channel keeps apart.
-    _, ch = sample_extremal(n, seed)
-    c, s = np.cos(0.3), np.sin(0.3)
-    turn = np.eye(n)
-    turn[:2, :2] = [[c, -s], [s, c]]
-    moved = KrausChannel(turn @ ch.stack @ turn.T)
-    mixed = convex_combine([ch, moved], [weight, 1.0 - weight])
+    mixed = kinds.mixture(sample_extremal(n, seed)[1], kinds.turn(n), weight)
     v = real_if_exact(isometry(mixed))
     assert max(cols.shape[1] for _, cols in _components(v != 0)) > 1
     assert_dilation_paths_agree(mixed)
 
 
-def dense_dilation_reference(ch: KrausChannel) -> np.ndarray:
-    """The unitary from one complete QR of V, the dense construction."""
-    n, k = ch.dim, len(ch)
-    v = isometry(ch)
-    q = np.linalg.qr(v, mode="complete")[0]
-    u = np.empty((n * k, n * k), dtype=complex)
-    u.reshape(n * k, n, k)[:, :, 0] = v
-    u.reshape(n * k, n, k)[:, :, 1:] = q[:, n:].reshape(n * k, n, k - 1)
-    return u
-
-
 @pytest.mark.parametrize("n", range(7, 17))
-def test_rotated_channel_dilation_keeps_the_dense_result(n, haar_unitary):
-    _, ch = sample_extremal(n, n)
-    rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
+def test_rotated_channel_dilation_keeps_the_dense_result(n):
+    rotated = kinds.rotated(sample_extremal(n, n)[1], n)
     assert not _splits(_components(isometry(rotated) != 0))
-    reference = dense_dilation_reference(rotated)
+    reference = dense_dilation(rotated)
     for gate in (0, _BLOCK_MIN_DIM):
         model = with_gates(stinespring, rotated, block=gate)
         assert np.array_equal(model.u, reference)

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import same_bits, with_gates
+import kinds
+from helpers import isometry, same_bits, with_gates
 
 from xchan import linalg
 from xchan.channels import (
@@ -31,7 +32,6 @@ from xchan.channels import (
     choi,
     choi_min_eigenvalue,
     choi_output_trace,
-    convex_combine,
     kraus_from_choi,
 )
 from xchan.dilation import DilationModel, stinespring
@@ -317,7 +317,7 @@ def test_stinespring_still_gates_unitarity_on_the_split_path(monkeypatch):
     # their diagonal, and the block residual is the one that searching u
     # finds.
     _, ch = sample_extremal(12, 1)
-    v = ch.stack.transpose(1, 0, 2).reshape(144, 12)
+    v = isometry(ch)
     assert linalg._grouped(v, len(v), linalg._BLOCK_MIN_DIM)[0] is not None
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a, mode: (2 * qr(a, mode=mode)[0], None))
@@ -482,13 +482,9 @@ def full_eigenbasis_kraus(j: np.ndarray, tol_rank: float) -> np.ndarray:
 
 
 @all_dims
-def test_kept_eigenvectors_give_the_full_basis_operators(n, haar_unitary):
+def test_kept_eigenvectors_give_the_full_basis_operators(n):
     _, ch = sample_extremal(n, n)
-    swap = np.eye(n)[[1, 0, *range(2, n)]]
-    mixed = convex_combine([ch, KrausChannel(swap @ ch.stack @ swap.T)], [0.3, 0.7])
-    rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
-    padded = KrausChannel(np.concatenate([ch.stack, np.zeros((1, n, n))]))
-    for c in (ch, mixed, rotated, padded):
+    for c in (ch, kinds.mixture(ch, kinds.swap(n), 0.3), kinds.rotated(ch, n), kinds.padded(ch)):
         j = choi(c)
         # The third cutoff is an eigenvalue itself, which is not kept.
         for tol_rank in (TOL_RANK, 1e-3, herm_eigvals(j)[2]):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from helpers import damping_channel
+import kinds
+from helpers import damping_channel, ref_apply, ref_choi
 
 from xchan.channels import (
     KrausChannel,
@@ -18,27 +19,10 @@ from xchan.channels import (
 )
 from xchan.errors import NotHermitianError, NotPSDError, NotTracePreservingError
 from xchan.extremal import sample_extremal
-from xchan.linalg import _BLOCK_MIN_DIM, ID2, SX
+from xchan.linalg import _BLOCK_MIN_DIM, ENTRY_MAX, ID2, SX
 from xchan.serialize import dump_channel, parse_channel
 from xchan.states import random_density
-
-
-def naive_apply(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    for c in ch.kraus:
-        out += c @ x @ c.conj().T
-    return out
-
-
-def naive_choi(ch: KrausChannel) -> np.ndarray:
-    n = ch.dim
-    j = np.zeros((n * n, n * n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[k, l] = 1.0
-            j += np.kron(unit, naive_apply(ch, unit))
-    return j
+from xchan.tolerances import TOL_WEIGHT_SUM
 
 
 def test_channel_construction_validates_shapes():
@@ -94,7 +78,7 @@ def test_apply_matches_operator_sum_loop(n, seed):
     _, ch = sample_extremal(n, seed)
     rho = random_density(n, seed + 100)
     out = apply(ch, rho)
-    assert np.allclose(out.mat, naive_apply(ch, rho.mat), atol=1e-13)
+    assert np.allclose(out.mat, ref_apply(ch, rho.mat), atol=1e-13)
     assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -125,7 +109,7 @@ def test_apply_to_matrix_is_linear():
 @pytest.mark.parametrize("n,seed", [(2, 3), (3, 4)])
 def test_choi_matches_matrix_unit_assembly(n, seed):
     _, ch = sample_extremal(n, seed)
-    assert np.allclose(choi(ch), naive_choi(ch), atol=1e-13)
+    assert np.allclose(choi(ch), ref_choi(ch), atol=1e-13)
 
 
 def test_choi_of_identity_channel():
@@ -166,12 +150,8 @@ def test_choi_min_eigenvalue_is_the_smallest_eigenvalue(n, seed):
 
 
 @pytest.mark.parametrize("n,seed", [(2, 6), (4, 8), (8, 9)])
-def test_choi_min_eigenvalue_of_a_rotated_channel_uses_the_complex_routine(
-    n, seed, haar_unitary
-):
-    _, ch = sample_extremal(n, seed)
-    rotated = KrausChannel(haar_unitary(n, seed) @ ch.stack @ haar_unitary(n, seed + 1))
-    j = choi(rotated)
+def test_choi_min_eigenvalue_of_a_rotated_channel_uses_the_complex_routine(n, seed):
+    j = choi(kinds.rotated(sample_extremal(n, seed)[1], seed))
     assert j.imag.any()
     assert choi_min_eigenvalue(j) == np.min(np.linalg.eigvalsh(j))
 
@@ -221,7 +201,7 @@ def test_convex_combine_action_is_the_weighted_average():
     b = damping_channel(0.7)
     mix = convex_combine([a, b], [0.25, 0.75])
     rho = random_density(2, 3)
-    expected = 0.25 * naive_apply(a, rho.mat) + 0.75 * naive_apply(b, rho.mat)
+    expected = 0.25 * ref_apply(a, rho.mat) + 0.75 * ref_apply(b, rho.mat)
     assert np.allclose(apply(mix, rho).mat, expected, atol=1e-13)
 
 
@@ -245,3 +225,14 @@ def test_convex_combine_refuses_non_finite_weights(weights):
     a = KrausChannel((ID2,))
     with pytest.raises(ValueError, match="^weights must be finite"):
         convex_combine([a, a], weights)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_convex_combine_gates_a_part_that_a_weight_above_one_takes_past_the_bound():
+    # Weights may sum to 1 + TOL_WEIGHT_SUM, so sqrt(w) C can exceed the
+    # entry bound that C meets: the combination's own gate is not redundant.
+    at_bound = KrausChannel([[[ENTRY_MAX]]])
+    assert convex_combine([at_bound], [1.0]).stack[0, 0, 0] == ENTRY_MAX
+    assert 0.9e-12 <= TOL_WEIGHT_SUM
+    with pytest.raises(ValueError, match=r"^matrix has a real or imaginary part beyond 1e\+150$"):
+        convex_combine([at_bound], [1 + 0.9e-12])

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import kinds
 
 from xchan.channels import KrausChannel, apply, choi, convex_combine
 from xchan import cli
@@ -494,10 +495,10 @@ def test_caps_have_the_documented_values():
     assert MAX_DILATE_DIM == 1024
 
 
-def _scaled_identity_file(tmp_path, k: int):
-    """A 2-level channel of k operators I / sqrt(k): trace preserving, N*k = 2k."""
-    path = tmp_path / f"identity{k}.json"
-    path.write_text(dump_channel(KrausChannel(np.tile(ID2 / np.sqrt(k), (k, 1, 1)))))
+def _scaled_identity_file(tmp_path, k: int, n: int = 2):
+    """An n-level channel of k operators I / sqrt(k): trace preserving, N*k = nk."""
+    path = tmp_path / f"identity{n}x{k}.json"
+    path.write_text(dump_channel(KrausChannel(np.tile(np.eye(n) / np.sqrt(k), (k, 1, 1)))))
     return path
 
 
@@ -529,12 +530,59 @@ def test_dilate_at_the_cap_reaches_the_library_and_shows_in_help(
     assert f"<= {MAX_DILATE_DIM}" in " ".join(capsys.readouterr().out.split())
 
 
-def test_verdicts_and_exit_codes_hold_across_blas_thread_counts(tmp_path, haar_unitary):
+def _params_file(tmp_path, n: int):
+    """Diagonals of I_n: N = n, every column's squares sum to 1."""
+    path = tmp_path / f"params{n}.json"
+    path.write_text(json.dumps({"diagonals": np.eye(n).tolist()}))
+    return path
+
+
+def _one_usage_error(capsys) -> None:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "must be at most" in err[0]
+
+
+@pytest.mark.parametrize("n,k", [(MAX_SAMPLE_N + 1, 1), (1, MAX_SAMPLE_N**2 + 1)])
+def test_check_above_its_caps_is_a_usage_error(tmp_path, monkeypatch, capsys, n, k):
+    path = _scaled_identity_file(tmp_path, k, n)
+    for name in ("choi", "check_trace_preserving"):
+        monkeypatch.setattr(cli, name, _refuse)
+    assert main(["check", str(path)]) == 2
+    _one_usage_error(capsys)
+
+
+@pytest.mark.parametrize("n,k", [(MAX_SAMPLE_N, 1), (1, MAX_SAMPLE_N**2)])
+def test_check_at_its_caps_reaches_the_library_and_shows_in_help(
+    tmp_path, monkeypatch, capsys, n, k
+):
+    path = _scaled_identity_file(tmp_path, k, n)
+    monkeypatch.setattr(cli, "choi", _reached)
+    with pytest.raises(_Reached):
+        main(["check", str(path)])
+    assert main(["check", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"<= {MAX_SAMPLE_N} " in out and f"<= {MAX_SAMPLE_N**2}" in out
+
+
+def test_build_above_the_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_extremal", _refuse)
+    assert main(["build", "--params", str(_params_file(tmp_path, MAX_SAMPLE_N + 1))]) == 2
+    _one_usage_error(capsys)
+
+
+def test_build_at_the_cap_reaches_the_library_and_shows_in_help(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_extremal", _reached)
+    with pytest.raises(_Reached):
+        main(["build", "--params", str(_params_file(tmp_path, MAX_SAMPLE_N))])
+    assert main(["build", "--help"]) == 0
+    assert f"<= {MAX_SAMPLE_N}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_verdicts_and_exit_codes_hold_across_blas_thread_counts(tmp_path):
     """A rotated N=16 channel takes dense complex decompositions, whose bytes
     may differ between thread counts; the verdicts and exit codes may not."""
-    _, ch = sample_extremal(16, 1)
     path = tmp_path / "rot16.json"
-    path.write_text(dump_channel(KrausChannel(haar_unitary(16, 1) @ ch.stack @ haar_unitary(16, 2))))
+    path.write_text(dump_channel(kinds.rotated(sample_extremal(16, 1)[1], 1)))
     outcomes = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)

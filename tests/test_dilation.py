@@ -11,7 +11,7 @@ from xchan.dilation import (
 )
 from xchan.errors import NotTracePreservingError, ValidationError
 from xchan.extremal import sample_extremal
-from xchan.linalg import ID2, dagger
+from xchan.linalg import ENTRY_MAX, ID2, dagger
 from xchan.states import DensityMatrix, random_density
 
 
@@ -139,3 +139,14 @@ def test_model_keeps_its_unitarity_residual(n):
     assert "unitarity_residual" not in repr(model)
     with pytest.raises(TypeError):
         DilationModel(dim_sys=1, dim_env=1, u=np.eye(1), unitarity_residual=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_given_unitary_beyond_the_entry_bound_is_refused_after_its_shape():
+    with pytest.raises(ValueError, match=r"^matrix has a real or imaginary part beyond 1e\+150$"):
+        DilationModel(1, 1, np.array([[1e308]]))
+    with pytest.raises(ValueError, match="^unitary must be 1x1"):
+        DilationModel(1, 1, np.full((2, 2), 1e308))
+    # At the bound the unitarity check decides.
+    with pytest.raises(ValidationError, match="u is not unitary"):
+        DilationModel(1, 1, np.array([[ENTRY_MAX]]))

@@ -1,12 +1,15 @@
 """The stacked (k, N, N) Kraus array against per-operator reference loops.
 
-The reference functions below are the operator-by-operator formulations of
-each channel operation; the library evaluates the same quantities as
-batched products on ``KrausChannel.stack``.
+The reference functions (below, and ``ref_apply`` and ``ref_choi`` from
+``helpers``) are the operator-by-operator formulations of each channel
+operation, and the Gram rank is the ``svd_rank`` of ``helpers.products``;
+the library evaluates the same quantities as batched products on
+``KrausChannel.stack``.
 """
 
 import numpy as np
 import pytest
+from helpers import products, ref_apply, ref_choi
 
 from xchan.channels import (
     KrausChannel,
@@ -24,7 +27,6 @@ from xchan.extremal import ExtremalParams, build_extremal, sample_extremal
 from xchan.linalg import ID2, PAULIS, SY, dagger
 from xchan.qubit import NuParams, bloch_affine, channel_from_nu
 from xchan.states import random_density
-from xchan.tolerances import TOL_RANK
 
 AGREE = 1e-14
 
@@ -46,25 +48,6 @@ def ref_orth_residual(ch):
             if i != j:
                 worst = max(worst, abs(complex(np.trace(dagger(a) @ b))))
     return worst
-
-
-def ref_choi(ch):
-    n = ch.dim
-    j = np.zeros((n * n, n * n), dtype=complex)
-    for c in ch.kraus:
-        w = c.flatten(order="F")
-        j += np.outer(w, w.conj())
-    return j
-
-
-def ref_apply(ch, x):
-    return sum(c @ x @ dagger(c) for c in ch.kraus)
-
-
-def ref_gram_rank(ch):
-    rows = [(dagger(a) @ b).ravel() for a in ch.kraus for b in ch.kraus]
-    s = np.linalg.svd(np.array(rows), compute_uv=False)
-    return int(np.sum(s > TOL_RANK * s[0]))
 
 
 def ref_bloch(ch):
@@ -142,9 +125,9 @@ def test_apply_to_matrix_matches_loop(channel):
     assert np.max(np.abs(apply_to_matrix(channel, rho) - ref_apply(channel, rho))) <= AGREE
 
 
-def test_gram_rank_matches_loop(channel):
+def test_gram_rank_matches_loop(channel, svd_rank):
     result = check_extremal(channel)
-    assert result.gram_rank == ref_gram_rank(channel)
+    assert result.gram_rank == svd_rank(products(channel))
     assert result.expected == len(channel) ** 2
 
 

@@ -18,7 +18,8 @@ eigenvector) triples with Python's stable ``sorted``.
 
 import numpy as np
 import pytest
-from helpers import products, same_bits
+import kinds
+from helpers import isometry, products, same_bits
 
 from xchan import linalg
 from xchan.channels import KrausChannel, choi, kraus_from_choi
@@ -35,15 +36,15 @@ def exact(m: np.ndarray) -> np.ndarray:
     return m.real if not m.imag.any() else m
 
 
-def channels(n: int, haar_unitary):
+def channels(n: int):
     _, ch = sample_extremal(n, 3 * n)
     yield "real", ch
-    yield "rotated", KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
+    yield "rotated", kinds.rotated(ch, n)
 
 
 @pytest.mark.parametrize("n", ONE_GROUP_DIMS)
-def test_one_group_sizes_are_below_the_gates(n, haar_unitary):
-    for _, ch in channels(n, haar_unitary):
+def test_one_group_sizes_are_below_the_gates(n):
+    for _, ch in channels(n):
         k = len(ch)
         assert n * k < linalg._BLOCK_MIN_DIM
         assert len(choi(ch)) < linalg._BLOCK_MIN_DIM
@@ -51,8 +52,8 @@ def test_one_group_sizes_are_below_the_gates(n, haar_unitary):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_eigendecomposition_is_the_direct_eigh(n, haar_unitary):
-    for kind, ch in channels(n, haar_unitary):
+def test_eigendecomposition_is_the_direct_eigh(n):
+    for kind, ch in channels(n):
         j = choi(ch)
         h = exact(j)
         assert (h.dtype == np.float64) == (kind == "real")
@@ -69,8 +70,8 @@ def test_eigendecomposition_is_the_direct_eigh(n, haar_unitary):
 
 
 @pytest.mark.parametrize("n", ONE_GROUP_DIMS)
-def test_rank_is_the_direct_svd_count(n, haar_unitary):
-    for _, ch in channels(n, haar_unitary):
+def test_rank_is_the_direct_svd_count(n):
+    for _, ch in channels(n):
         stack = products(ch)
         s = np.linalg.svd(exact(stack.reshape(len(stack), -1)), compute_uv=False)
         assert _rank(stack, TOL_RANK) == int(np.sum(s > TOL_RANK * s[0])) == n * n
@@ -79,12 +80,12 @@ def test_rank_is_the_direct_svd_count(n, haar_unitary):
 
 
 @pytest.mark.parametrize("n", ONE_GROUP_DIMS)
-def test_dilation_is_the_direct_complete_qr(n, haar_unitary):
-    for kind, ch in channels(n, haar_unitary):
+def test_dilation_is_the_direct_complete_qr(n):
+    for kind, ch in channels(n):
         k = len(ch)
         model = stinespring(ch)
         u = model.u
-        v = exact(ch.stack.transpose(1, 0, 2).reshape(n * k, n))
+        v = exact(isometry(ch))
         assert (v.dtype == np.float64) == (kind == "real")
         q = np.linalg.qr(v, mode="complete")[0]
         free = u.reshape(n * k, n, k)[:, :, 1:].reshape(n * k, -1)

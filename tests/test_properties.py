@@ -15,6 +15,7 @@ Szarek and Werner 2002, Lin. Alg. Appl. 347): with multipliers
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import kinds
 
 from xchan.channels import (
     KrausChannel,
@@ -27,7 +28,7 @@ from xchan.channels import (
     kraus_from_choi,
 )
 from xchan.dilation import evolve_via_dilation, stinespring
-from xchan.extremal import ExtremalParams, build_extremal
+from xchan.extremal import build_extremal
 from xchan.qubit import NuParams, bloch_affine, channel_from_nu
 from xchan.serialize import dump_channel, parse_channel
 from xchan.states import random_density
@@ -41,22 +42,6 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 nus = st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1.0))
 
 
-def diagonals_with_zeros(n: int, seed: int) -> np.ndarray:
-    """Extremal diagonals with about half the entries exactly zero.
-
-    Entry (0, 0) is always zero.  Each column keeps at least one nonzero
-    entry and is renormalized, so the squared entries still sum to 1 down
-    every column.
-    """
-    rng = np.random.default_rng(seed)
-    keep = rng.random((n, n)) < 0.5
-    keep[:2, 0] = (False, True)
-    squares = rng.standard_exponential((n, n)) * keep
-    empty = ~squares.any(axis=0)
-    squares[rng.integers(n, size=n)[empty], np.flatnonzero(empty)] = 1.0
-    return np.sqrt(squares / squares.sum(axis=0))
-
-
 def assert_cptp(ch: KrausChannel) -> None:
     assert check_trace_preserving(ch, 1e-12).ok
     assert choi_min_eigenvalue(choi(ch)) >= -1e-12
@@ -65,11 +50,12 @@ def assert_cptp(ch: KrausChannel) -> None:
 @PROPERTY
 @given(n=dims, seed=seeds)
 def test_diagonals_with_exact_zeros_give_cptp_channels(n, seed):
-    d = diagonals_with_zeros(n, seed)
-    ch = build_extremal(ExtremalParams(d))
+    # About half the entries exactly zero, entry (0, 0) always.
+    d = kinds.zero_diagonals(n, seed, zero=(0, 0))
+    ch = build_extremal(d)
     # All-zero diagonals are dropped; the rest are trace orthogonal, so
     # they are independent and the Choi rank is the operator count.
-    assert len(ch) == int(d.any(axis=1).sum())
+    assert len(ch) == int(d.diagonals.any(axis=1).sum())
     assert_cptp(ch)
     assert check_trace_orthogonal(ch, 1e-12).ok
     assert len(kraus_from_choi(choi(ch))) == len(ch)
@@ -78,7 +64,7 @@ def test_diagonals_with_exact_zeros_give_cptp_channels(n, seed):
 @PROPERTY
 @given(n=dims, seed=seeds)
 def test_round_trip_through_serialize_choi_kraus_and_dilation(n, seed):
-    ch = build_extremal(ExtremalParams(diagonals_with_zeros(n, seed)))
+    ch = build_extremal(kinds.zero_diagonals(n, seed, zero=(0, 0)))
     parsed = parse_channel(dump_channel(ch))
     assert np.array_equal(parsed.stack, ch.stack)
     canonical = kraus_from_choi(choi(parsed))
@@ -93,9 +79,9 @@ def test_round_trip_through_serialize_choi_kraus_and_dilation(n, seed):
 @PROPERTY
 @given(n=dims, seed=seeds, pad=st.integers(min_value=1, max_value=3))
 def test_padded_and_repeated_kraus_sets_are_the_same_channel(n, seed, pad):
-    ch = build_extremal(ExtremalParams(diagonals_with_zeros(n, seed)))
+    ch = build_extremal(kinds.zero_diagonals(n, seed, zero=(0, 0)))
     k = len(ch)
-    padded = KrausChannel(np.concatenate([ch.stack, np.zeros((pad, n, n))]))
+    padded = kinds.padded(ch, pad)
     # Splitting every operator into two copies scaled by 1/sqrt(2).
     repeated = KrausChannel(np.concatenate([ch.stack, ch.stack]) / np.sqrt(2.0))
     for redundant in (padded, repeated):

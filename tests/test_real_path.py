@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import kinds
+from helpers import isometry
 
 from xchan.channels import (
     KrausChannel,
@@ -30,13 +32,12 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @pytest.fixture(scope="module")
-def pair(haar_unitary):
+def pair():
     """``make(n, seed)``: a sampled channel and its Haar rotation."""
 
     def make(n: int, seed: int) -> tuple[KrausChannel, KrausChannel]:
         _, ch = sample_extremal(n, seed)
-        u, v = haar_unitary(n, seed), haar_unitary(n, seed + 1)
-        rotated = KrausChannel(u @ ch.stack @ v)
+        rotated = kinds.rotated(ch, seed)
         assert not ch.stack.imag.any()
         assert rotated.stack.imag.any()
         return ch, rotated
@@ -78,8 +79,7 @@ def test_dilation_is_unitary_with_exact_fixed_columns_on_both_paths(pair, n, see
         assert model.unitarity_residual <= 1e-10
         u = model.u
         assert np.max(np.abs(u.conj().T @ u - np.eye(n * k))) <= 1e-10
-        isometry = c.stack.transpose(1, 0, 2).reshape(n * k, n)
-        assert np.array_equal(u[:, ::k], isometry)
+        assert np.array_equal(u[:, ::k], isometry(c))
 
 
 @PROPERTY

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import kinds
 
 from xchan.channels import KrausChannel, choi
 from xchan.errors import NotTracePreservingError, SchemaError
@@ -53,10 +54,9 @@ def test_metadata_passes_through():
 
 
 @pytest.mark.parametrize("n", [2, 16])
-def test_channel_doc_encodes_each_operator_as_its_matrix_doc(n, haar_unitary):
+def test_channel_doc_encodes_each_operator_as_its_matrix_doc(n):
     _, ch = sample_extremal(n, n)
-    rotated = KrausChannel(haar_unitary(n, 1) @ ch.stack @ haar_unitary(n, 2))
-    for c in (ch, rotated):
+    for c in (ch, kinds.rotated(ch, 1)):
         doc = channel_to_doc(c)
         assert doc["kraus"] == [matrix_to_doc(op) for op in c.kraus]
         assert json.dumps(doc["kraus"]) == json.dumps([matrix_to_doc(op) for op in c.kraus])

@@ -25,10 +25,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import isometry, same_bits, with_gates, with_zero_diagonals
+import kinds
+from helpers import dense_dilation, isometry, same_bits, with_gates
 
 from xchan import linalg
-from xchan.channels import KrausChannel, choi, convex_combine, kraus_from_choi
+from xchan.channels import KrausChannel, choi, kraus_from_choi
 from xchan.dilation import DilationModel, stinespring
 from xchan.extremal import build_extremal, sample_extremal
 from xchan.linalg import _components, _grouped, _splits, _unitarity_residual, real_if_exact
@@ -49,17 +50,6 @@ def dense_choi(ch: KrausChannel) -> np.ndarray:
 
 def disjoint(ch: KrausChannel) -> bool:
     return int((vec_stack(ch) != 0).sum(axis=0).max()) <= 1
-
-
-def padded_mixture(n: int, seed: int, weight: float = 0.3) -> KrausChannel:
-    """A sampled channel mixed with its input turned in the (0, 1) plane: the
-    supports overlap, and V's columns 0 and 1 share rows, so they merge into
-    one block while the other columns stay blocks of their own."""
-    _, ch = sample_extremal(n, seed)
-    c, s = np.cos(0.3), np.sin(0.3)
-    turn = np.eye(n)
-    turn[:2, :2] = [[c, -s], [s, c]]
-    return convex_combine([ch, KrausChannel(ch.stack @ turn.T)], [weight, 1 - weight])
 
 
 def with_phases(ch: KrausChannel, seed: int, per_entry: bool) -> KrausChannel:
@@ -95,7 +85,7 @@ def test_choi_of_sampled_channels(n, seed):
 @pytest.mark.parametrize("n", [4, 8, 12, 14, 16, 20])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_choi_with_zero_diagonal_entries(n, seed):
-    ch = build_extremal(with_zero_diagonals(n, seed))
+    ch = build_extremal(kinds.zero_diagonals(n, seed))
     sizes = (vec_stack(ch) != 0).sum(axis=1)
     assert disjoint(ch) and len(set(sizes.tolist())) > 1
     assert_choi_is_dense(ch)
@@ -138,10 +128,10 @@ def test_choi_on_both_sides_of_the_crossover(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 12, 16])
-def test_overlapping_supports_take_the_dense_product(n, haar_unitary, monkeypatch):
+def test_overlapping_supports_take_the_dense_product(n, monkeypatch):
     _, ch = sample_extremal(n, 4)
-    mixed = padded_mixture(n, 4)
-    rotated = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
+    mixed = kinds.mixture(ch, kinds.turn(n), 0.3, input_only=True)
+    rotated = kinds.rotated(ch, n)
     monkeypatch.setattr(linalg, "_SCATTER_MIN_DIM", 0)
     for other in (mixed, rotated):
         assert not disjoint(other)
@@ -150,7 +140,7 @@ def test_overlapping_supports_take_the_dense_product(n, haar_unitary, monkeypatc
 
 def test_an_all_zero_operator_adds_nothing():
     _, ch = sample_extremal(12, 2)
-    padded = KrausChannel(np.concatenate([ch.stack, np.zeros((1, 12, 12))]))
+    padded = kinds.padded(ch)
     assert disjoint(padded)
     assert_choi_is_dense(padded)
     assert same_bits(with_gates(choi, padded, scatter=0), choi(ch))
@@ -204,10 +194,6 @@ def split_calls(ch: KrausChannel, gate: int | None):
     return model, calls
 
 
-def same_float(a: float, b: float) -> bool:
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-
 def assert_split_dilation(ch: KrausChannel, gate: int | None = 0) -> None:
     """The split builder runs, and gives the reference u and the residual of
     ``_unitarity_residual`` and of ``DilationModel(u)``, all bit for bit."""
@@ -216,10 +202,10 @@ def assert_split_dilation(ch: KrausChannel, gate: int | None = 0) -> None:
     u = model.u
     assert same_bits(u, reference_split_dilation(ch))
     scanned = with_gates(_unitarity_residual, u, block=gate)
-    assert same_float(model.unitarity_residual, scanned)
+    assert same_bits(model.unitarity_residual, scanned)
     given_u = with_gates(DilationModel, ch.dim, len(ch), u, block=gate)
     assert same_bits(given_u.u, u)
-    assert same_float(given_u.unitarity_residual, model.unitarity_residual)
+    assert same_bits(given_u.unitarity_residual, model.unitarity_residual)
 
 
 def assert_whole_dilation(ch: KrausChannel) -> None:
@@ -227,15 +213,10 @@ def assert_whole_dilation(ch: KrausChannel) -> None:
     complete QR of the whole of V, with the residual of ``DilationModel(u)``."""
     model, calls = split_calls(ch, None)
     assert calls == []
-    n, k = ch.dim, len(ch)
-    v = real_if_exact(isometry(ch))
-    u = np.empty((n * k, n * k), dtype=complex)
-    u.reshape(n * k, n, k)[:, :, 0] = v
-    u.reshape(n * k, n, k)[:, :, 1:] = (
-        np.linalg.qr(v, mode="complete")[0][:, n:].reshape(n * k, n, k - 1)
-    )
+    u = dense_dilation(ch)
     assert same_bits(model.u, u)
-    assert same_float(model.unitarity_residual, DilationModel(n, k, u).unitarity_residual)
+    given_u = DilationModel(ch.dim, len(ch), u)
+    assert same_bits(model.unitarity_residual, given_u.unitarity_residual)
 
 
 all_dims = pytest.mark.parametrize("n", range(2, 17))
@@ -252,7 +233,7 @@ def test_split_dilation_of_sampled_channels(n, seed):
 @PROPERTY
 @given(seed=seeds)
 def test_split_dilation_with_zero_rows(n, seed):
-    ch = build_extremal(with_zero_diagonals(n, seed))
+    ch = build_extremal(kinds.zero_diagonals(n, seed))
     assert_split_dilation(ch)
 
 
@@ -260,7 +241,8 @@ def test_split_dilation_with_zero_rows(n, seed):
 @PROPERTY
 @given(seed=seeds, weight=st.floats(min_value=0.05, max_value=0.95))
 def test_split_dilation_of_padded_mixtures_whose_blocks_merge(n, seed, weight):
-    mixed = padded_mixture(n, seed, weight)
+    # The input turned in the (0, 1) plane: V's columns 0 and 1 merge.
+    mixed = kinds.mixture(sample_extremal(n, seed)[1], kinds.turn(n), weight, input_only=True)
     v = real_if_exact(isometry(mixed))
     assert max(cols.shape[1] for _, cols in _components(v != 0)) > 1
     assert_split_dilation(mixed)
@@ -272,13 +254,13 @@ def test_split_dilation_at_the_default_gate(n, seed):
     _, ch = sample_extremal(n, seed)
     assert n * len(ch) >= linalg._BLOCK_MIN_DIM
     assert_split_dilation(ch, gate=None)
-    assert_split_dilation(build_extremal(with_zero_diagonals(n, seed)), gate=None)
+    assert_split_dilation(build_extremal(kinds.zero_diagonals(n, seed)), gate=None)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 @pytest.mark.parametrize("seed", range(3))
 def test_split_dilation_of_padded_mixtures_at_the_default_gate(n, seed):
-    mixed = padded_mixture(n, seed)
+    mixed = kinds.mixture(sample_extremal(n, seed)[1], kinds.turn(n), 0.3, input_only=True)
     assert n * len(mixed) >= linalg._BLOCK_MIN_DIM
     assert_split_dilation(mixed, gate=None)
 
@@ -290,9 +272,8 @@ def test_below_the_gate_the_whole_isometry_is_completed():
 
 
 @pytest.mark.parametrize("n", [8, 11])
-def test_a_rotated_isometry_above_the_gate_is_completed_whole(n, haar_unitary):
-    _, ch = sample_extremal(n, n)
-    rotated = KrausChannel(haar_unitary(n, 1) @ ch.stack @ haar_unitary(n, 2))
+def test_a_rotated_isometry_above_the_gate_is_completed_whole(n):
+    rotated = kinds.rotated(sample_extremal(n, n)[1], 1)
     assert n * len(rotated) >= linalg._BLOCK_MIN_DIM
     assert_whole_dilation(rotated)
 
@@ -303,9 +284,8 @@ def test_split_dilation_of_operators_times_unit_phases(per_entry):
     assert_split_dilation(with_phases(ch, 9, per_entry), gate=None)
 
 
-def test_a_rotated_channel_is_not_split(haar_unitary):
-    _, ch = sample_extremal(12, 5)
-    rotated = KrausChannel(haar_unitary(12, 1) @ ch.stack @ haar_unitary(12, 2))
+def test_a_rotated_channel_is_not_split():
+    rotated = kinds.rotated(sample_extremal(12, 5)[1], 1)
     assert not _splits(_components(isometry(rotated) != 0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_split_unitary", None)

@@ -7,7 +7,7 @@ from xchan.errors import (
     NotUnitTraceError,
     ValidationError,
 )
-from xchan.linalg import _BLOCK_MIN_DIM, _hermitian_blocks, _splits
+from xchan.linalg import _BLOCK_MIN_DIM, ENTRY_MAX, _hermitian_blocks, _splits
 from xchan.states import (
     DensityMatrix,
     bloch_to_rho,
@@ -199,3 +199,25 @@ def test_the_state_gate_refuses_in_order_with_the_same_residuals(n, pattern, kin
         residual = float(np.linalg.eigvalsh(m).min())
         assert residual == pytest.approx(-1 / 32, abs=1e-15)
     assert getattr(err.value, "residual", None) == residual
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "m",
+    [np.diag([1e308, 1e308]), np.full((64, 64), 1e307), np.diag([1.0, 0.0, 1j * 2e150])],
+    ids=["diagonal", "dense", "imaginary"],
+)
+def test_the_state_gate_refuses_parts_beyond_the_entry_bound_first(m):
+    # The Kraus sets' bound, checked before any sum that could overflow.
+    with pytest.raises(ValueError) as err:
+        DensityMatrix(m)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "matrix has a real or imaginary part beyond 1e+150"
+
+
+def test_a_state_at_the_entry_bound_reaches_the_trace_check_and_keeps_its_layout():
+    with pytest.raises(NotUnitTraceError):
+        DensityMatrix(np.diag([ENTRY_MAX, 0.0]))
+    m = np.asfortranarray(dyadic_state(4, "dense", 1 / 8))
+    state = DensityMatrix(m)
+    assert state.mat.flags.f_contiguous and np.array_equal(state.mat, m)

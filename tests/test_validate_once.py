@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import kinds
+from helpers import products
 
 from xchan import linalg
 from xchan.channels import (
@@ -86,15 +88,14 @@ def stacks(draw):
     return stack, kind, value
 
 
-def changed(stack, kind, value, haar_unitary) -> np.ndarray:
-    n = stack.shape[1]
+def changed(stack, kind, value) -> KrausChannel:
     if kind == "scaled":
-        return stack * value
+        return KrausChannel(stack * value)
     if kind == "padded":
-        return np.concatenate([stack, np.zeros((1, n, n))])
+        return kinds.padded(KrausChannel(stack))
     if kind == "rotated":
-        return haar_unitary(n, value) @ stack @ haar_unitary(n, value + 1)
-    return stack
+        return kinds.rotated(KrausChannel(stack), value)
+    return KrausChannel(stack)
 
 
 def reported_residuals(name: str, ch: KrausChannel) -> list[float]:
@@ -118,8 +119,8 @@ def reported_residuals(name: str, ch: KrausChannel) -> list[float]:
 
 @PROPERTY
 @given(drawn=stacks(), name=st.sampled_from(FIRST_USES))
-def test_every_reported_residual_is_the_one_measurement(drawn, name, haar_unitary):
-    ch = KrausChannel(changed(*drawn, haar_unitary))
+def test_every_reported_residual_is_the_one_measurement(drawn, name):
+    ch = changed(*drawn)
     expected = completeness_residual(ch.stack)
     with measurements() as seen:
         residuals = reported_residuals(name, ch)
@@ -178,25 +179,18 @@ def test_each_cli_command_measures_once(files16, command, capsys):
     assert len(seen) == 1
 
 
-def product_stack(ch: KrausChannel) -> np.ndarray:
-    s = ch.stack
-    return (s.conj().transpose(0, 2, 1)[:, None] @ s[None]).reshape(-1, ch.dim, ch.dim)
-
-
 @pytest.mark.parametrize("block_min", [linalg._BLOCK_MIN_DIM, 0])
 @pytest.mark.parametrize("kind", ["sampled", "padded", "rotated"])
 @pytest.mark.parametrize("n", range(2, 17))
-def test_gram_rank_is_the_rank_of_the_product_stack(
-    n, kind, block_min, monkeypatch, haar_unitary, svd_rank
-):
+def test_gram_rank_is_the_rank_of_the_product_stack(n, kind, block_min, monkeypatch, svd_rank):
     monkeypatch.setattr(linalg, "_BLOCK_MIN_DIM", block_min)
     _, ch = sample_extremal(n, 100 + n)
     if kind == "padded":
-        ch = KrausChannel(np.concatenate([ch.stack, 0.0 * ch.stack[:1]]))
+        ch = kinds.padded(ch)
     elif kind == "rotated":
-        ch = KrausChannel(haar_unitary(n, n) @ ch.stack @ haar_unitary(n, n + 1))
+        ch = kinds.rotated(ch, n)
     result = check_extremal(ch)
-    assert result.gram_rank == svd_rank(product_stack(ch))
+    assert result.gram_rank == svd_rank(products(ch))
     assert result.extremal == (kind != "padded")
 
 
@@ -213,4 +207,4 @@ def test_a_huge_tolerance_takes_finite_products_to_the_rank(svd_rank):
     residual = check_trace_preserving(ch).residual
     assert 1e299 < residual <= 1e300
     result = check_extremal(ch, tol_tp=1e300)
-    assert result.gram_rank == svd_rank(product_stack(ch)) == 2
+    assert result.gram_rank == svd_rank(products(ch)) == 2

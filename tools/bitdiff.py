@@ -2,7 +2,8 @@
 
 A fixed grid of channels (sampled, zero-diagonal, padded-mixture, phased
 and Haar-rotated at N = 2, 3, 4, 5, 6, 7, 8, 11, 12, 16, two seeds each,
-and six qubit (nu1, nu2) pairs) is run through the library and the CLI.
+and six qubit (nu1, nu2) pairs; the kinds come from ``tools/kinds.py``) is
+run through the library and the CLI.
 Each output becomes one record: its bytes (arrays with dtype and shape,
 floats in hex, CLI runs as exit code, stdout, stderr and ``--out`` file)
 are hashed, and an exception is recorded as its type and message.
@@ -96,39 +97,30 @@ def encode(value) -> bytes:
     return repr(value).encode()
 
 
-def haar(n: int, rng) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def grid_channel(kind: str, n: int, seed: int):
-    """The grid's channel of one kind, N and seed."""
+    """The grid's channel of one kind, N and seed.  ``kinds`` and ``xchan``
+    are imported here, after ``--src`` has put a tree's package on the path."""
+    import kinds
     import xchan
 
-    params, ch = xchan.sample_extremal(n, seed)
+    _, ch = xchan.sample_extremal(n, seed)
     rng = np.random.default_rng([n, seed])
     if kind == "sampled":
         return ch
     if kind == "zero-diagonal":
-        # Exact zeros, a whole zero row (a dropped operator), and each
-        # column renormalized.
-        d = params.diagonals * (rng.random((n, n)) < 0.6)
-        d[0] = 0.0
-        d[-1, ~d.any(axis=0)] = 1.0
-        return xchan.build_extremal(xchan.ExtremalParams(d / np.sqrt((d**2).sum(axis=0))))
+        # Exact zeros and an all-zero first diagonal: a dropped operator.
+        return xchan.build_extremal(kinds.zero_diagonals(n, seed, zero=0))
     if kind == "padded-mixture":
-        perm = np.eye(n)[rng.permutation(n)]
-        mixed = xchan.convex_combine([ch, xchan.KrausChannel(perm @ ch.stack @ perm.T)], [0.3, 0.7])
-        return xchan.KrausChannel(np.concatenate([mixed.stack, np.zeros((1, n, n))]))
+        return kinds.padded(kinds.mixture(ch, np.eye(n)[rng.permutation(n)], 0.3))
     if kind == "phased":
         phases = np.exp(2j * np.pi * rng.random(n))
         return xchan.KrausChannel(phases[:, None] * ch.stack)
-    return xchan.KrausChannel(haar(n, rng) @ ch.stack @ haar(n, rng))
+    return kinds.rotated(ch, seed)
 
 
 def library_records(max_n: int):
     """(function, N, label, value) for every library record of the grid."""
+    import kinds
     import xchan
 
     for n in (s for s in SIZES if s <= max_n):
@@ -154,7 +146,7 @@ def library_records(max_n: int):
                 )
                 yield "dump_channel", n, label, then(ch, xchan.dump_channel)
             rng = np.random.default_rng([n, seed, 1])
-            unitaries = [haar(n, rng) @ u for u in xchan.canonical_unitaries(n)]
+            unitaries = [kinds.haar(n, rng) @ u for u in xchan.canonical_unitaries(n)]
             params = xchan.sample_extremal(n, seed)[0]
             yield "build_extremal", n, f"given unitaries s{seed}", attempt(
                 lambda: xchan.build_extremal(params, unitaries).stack
